@@ -21,8 +21,7 @@ from ramsey333 import (
 )
 
 print("The three cubic-residue classes of GF(16):")
-classes = cubic_classes()
-for idx, cls in enumerate(classes.classes):
+for idx, cls in enumerate(cubic_classes()):
     members = sorted(cls)
     sums_inside = [
         (a, b) for a, b in combinations(members, 2) if (a ^ b) in cls

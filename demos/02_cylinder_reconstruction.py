@@ -37,9 +37,9 @@ print(f"  census mono: {census(first).mono}")
 print(f"  independent checker violations: {template_violations(template, first)}")
 
 # spot-check the sigma coupling on a few cross edges
-a1b2 = first.color(CYLINDER_LABELS.vertex("A1"), CYLINDER_LABELS.vertex("B2"))
-b1c2 = first.color(CYLINDER_LABELS.vertex("B1"), CYLINDER_LABELS.vertex("C2"))
-c1a2 = first.color(CYLINDER_LABELS.vertex("C1"), CYLINDER_LABELS.vertex("A2"))
+a1b2 = first.color(CYLINDER_LABELS.index("A1"), CYLINDER_LABELS.index("B2"))
+b1c2 = first.color(CYLINDER_LABELS.index("B1"), CYLINDER_LABELS.index("C2"))
+c1a2 = first.color(CYLINDER_LABELS.index("C1"), CYLINDER_LABELS.index("A2"))
 print(f"\n  A1B2={a1b2.char}  B1C2={b1c2.char} (= sigma)  C1A2={c1a2.char} (= sigma^2)")
 assert b1c2 == sigma(a1b2) and c1a2 == sigma(sigma(a1b2))
 

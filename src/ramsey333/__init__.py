@@ -22,7 +22,6 @@ The pieces:
 
 from .coloring import (
     COLORS,
-    FAST_PATH_MAX_VERTICES,
     Color,
     EdgeColoring,
     MonoTriangle,
@@ -38,24 +37,10 @@ from .coloring import (
     permute_colors,
     permute_vertices,
 )
-from .constructions import (
-    CYLINDER_LABELS,
-    CylinderLabels,
-    construct_gf16,
-    cylinder_template,
-    sigma,
-)
+from .constructions import CYLINDER_LABELS, construct_gf16, cylinder_template, sigma
 from .errors import BudgetError, CapacityError, FormatError, NotTriangleFreeError
 from .figures import export_figure
-from .gf16 import (
-    GENERATOR,
-    REDUCTION_POLY,
-    ResidueClasses,
-    cubic_classes,
-    gf16_add,
-    gf16_mul,
-    gf16_pow,
-)
+from .gf16 import cubic_classes
 from .search import (
     SearchParams,
     SearchResult,
@@ -68,7 +53,6 @@ from .serialization import (
     ColoringDocument,
     parse,
     parse_document,
-    parse_template,
     serialize,
     serialize_template,
 )
@@ -102,15 +86,10 @@ __all__ = [
     "ColoringDocument",
     "ColoringTemplate",
     "Coupling",
-    "CylinderLabels",
     "EdgeColoring",
-    "FAST_PATH_MAX_VERTICES",
     "FormatError",
-    "GENERATOR",
     "MonoTriangle",
     "NotTriangleFreeError",
-    "REDUCTION_POLY",
-    "ResidueClasses",
     "SearchParams",
     "SearchResult",
     "TriangleCensus",
@@ -133,14 +112,10 @@ __all__ = [
     "fast_mono_counts",
     "find_extensions",
     "fingerprint",
-    "gf16_add",
-    "gf16_mul",
-    "gf16_pow",
     "minimize",
     "move_delta",
     "parse",
     "parse_document",
-    "parse_template",
     "permute_colors",
     "permute_vertices",
     "random_coloring",

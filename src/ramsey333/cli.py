@@ -53,13 +53,6 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _parse_color(ch: str) -> Color:
-    try:
-        return Color.from_char(ch)
-    except ValueError:
-        raise FormatError(f"color must be B, R or Y, got {ch!r}") from None
-
-
 def _parse_mono_triple(s: str) -> tuple[int, int, int]:
     parts = s.split(",")
     if len(parts) != 3:
@@ -178,7 +171,7 @@ def cmd_assemble(args) -> int:
 def cmd_complete(args) -> int:
     doc = parse_document(_read(args.file))
     template = doc.to_template()
-    report = complete_edge(template, _parse_color(args.color))
+    report = complete_edge(template, Color.from_char(args.color))
     meta = dict(doc.meta)
     meta["added_edge_color"] = report.added_edge_color.char
     if args.json:
@@ -194,7 +187,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_twin_k17(args) -> int:
-    report = twin_k17(_parse_color(args.color), deleted_vertex=args.deleted_vertex)
+    report = twin_k17(Color.from_char(args.color), deleted_vertex=args.deleted_vertex)
     meta = {
         "method": "twin-k17",
         "color": report.added_edge_color.char,
@@ -341,19 +334,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except NotTriangleFreeError as exc:
+    except NotTriangleFreeError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (CapacityError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -135,17 +135,18 @@ class EdgeColoring:
         return EdgeColoring(self.n, bytes(buf))
 
 
+def toggle(rows: list[list[int]], i: int, j: int, x: int) -> None:
+    """Flip edge (i, j) in the color-x bit rows: adds it if absent, removes it if present."""
+    rows[x][i] ^= 1 << j
+    rows[x][j] ^= 1 << i
+
+
 @lru_cache(maxsize=512)
 def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     """Per-color adjacency rows: bit j of rows[x][i] is set iff edge (i,j) has color x."""
     rows = [[0] * c.n for _ in range(3)]
-    o = 0
-    for i in range(c.n):
-        for j in range(i + 1, c.n):
-            x = c.colors[o]
-            rows[x][i] |= 1 << j
-            rows[x][j] |= 1 << i
-            o += 1
+    for (i, j), x in zip(edge_list(c.n), c.colors):
+        toggle(rows, i, j, x)
     return tuple(tuple(r) for r in rows)
 
 
@@ -205,14 +206,15 @@ def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
         raise CapacityError(
             f"bit-parallel fast path supports n <= {FAST_PATH_MAX_VERTICES}, got {c.n}"
         )
+    return mono_counts(c)
+
+
+def mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
+    """fast_mono_counts without the vertex cap, for internal triangle-free checks."""
     rows = bit_rows(c)
     counts = [0, 0, 0]
-    o = 0
-    for i in range(c.n):
-        for j in range(i + 1, c.n):
-            x = c.colors[o]
-            counts[x] += ((rows[x][i] & rows[x][j]) >> (j + 1)).bit_count()
-            o += 1
+    for (i, j), x in zip(edge_list(c.n), c.colors):
+        counts[x] += ((rows[x][i] & rows[x][j]) >> (j + 1)).bit_count()
     return (counts[0], counts[1], counts[2])
 
 

@@ -17,16 +17,15 @@ fixed search order is the canonical one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .coloring import COLORS, Color, EdgeColoring, edge_index
 from .gf16 import cubic_classes
 from .templates import ColoringTemplate, Coupling, rotate_color
 
-# Residue class index -> edge color, fixed for canonical output.
-CLASS_COLORS = (Color.BLUE, Color.RED, Color.YELLOW)
+# Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
+CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
 
 
 def sigma(x: Color) -> Color:
@@ -36,44 +35,9 @@ def sigma(x: Color) -> Color:
 
 def construct_gf16() -> EdgeColoring:
     """Triangle-free K_16: vertex = field element, edge color = class of u XOR w."""
-    classes = cubic_classes()
-    return EdgeColoring.from_function(
-        16, lambda u, w: CLASS_COLORS[classes.class_of(u ^ w)]
-    )
-
-
-_CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
-
-
-@dataclass(frozen=True)
-class CylinderLabels:
-    """Fixed vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5."""
-
-    labels: tuple[str, ...] = _CYLINDER_LABELS
-
-    def label(self, v: int) -> str:
-        return self.labels[v]
-
-    def vertex(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown cylinder label: {label!r}") from None
-
-
-CYLINDER_LABELS = CylinderLabels()
-
-
-def _a(i: int) -> int:
-    return i
-
-
-def _b(i: int) -> int:
-    return 5 + i
-
-
-def _c(i: int) -> int:
-    return 10 + i
+    # Residue class j colors its differences COLORS[j], fixed for canonical output.
+    color_of = {d: x for x, cls in zip(COLORS, cubic_classes()) for d in cls}
+    return EdgeColoring.from_function(16, lambda u, w: color_of[u ^ w])
 
 
 def cylinder_template() -> ColoringTemplate:
@@ -85,27 +49,20 @@ def cylinder_template() -> ColoringTemplate:
     color(BiCj) = sigma(color(AiBj)) and color(CiAj) = sigma^2(color(AiBj)).
     """
     n = 16
-    full = frozenset(COLORS)
-    domains = [full] * comb(n, 2)
-
-    spoke_colors = {_a: Color.BLUE, _b: Color.RED, _c: Color.YELLOW}
-    block_domains = {
-        _a: frozenset({Color.RED, Color.YELLOW}),
-        _b: frozenset({Color.YELLOW, Color.BLUE}),
-        _c: frozenset({Color.BLUE, Color.RED}),
-    }
-    for group, spoke in spoke_colors.items():
+    v = CYLINDER_LABELS.index
+    domains = [frozenset(COLORS)] * comb(n, 2)
+    for group, spoke in zip("ABC", COLORS):
+        block = frozenset(COLORS) - {spoke}
         for i in range(1, 6):
-            domains[edge_index(0, group(i), n)] = frozenset({spoke})
-        for i, j in product(range(1, 6), repeat=2):
-            if i < j:
-                domains[edge_index(group(i), group(j), n)] = block_domains[group]
+            domains[edge_index(0, v(f"{group}{i}"), n)] = frozenset({spoke})
+        for i, j in combinations(range(1, 6), 2):
+            domains[edge_index(v(f"{group}{i}"), v(f"{group}{j}"), n)] = block
 
     couplings = []
     for i, j in product(range(1, 6), repeat=2):
-        ab = edge_index(_a(i), _b(j), n)
-        bc = edge_index(_b(i), _c(j), n)
-        ca = edge_index(_a(j), _c(i), n)  # the pair {Ci, Aj}, stored low-high
+        ab = edge_index(v(f"A{i}"), v(f"B{j}"), n)
+        bc = edge_index(v(f"B{i}"), v(f"C{j}"), n)
+        ca = edge_index(v(f"A{j}"), v(f"C{i}"), n)  # the pair {Ci, Aj}, stored low-high
         couplings.append(Coupling(src=ab, dst=bc, shift=1))
         couplings.append(Coupling(src=ab, dst=ca, shift=2))
 

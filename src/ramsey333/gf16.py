@@ -14,7 +14,6 @@ and its sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 REDUCTION_POLY = 0b10011  # x^4 + x + 1
@@ -24,13 +23,6 @@ GENERATOR = 0b0010  # x
 def _check_element(a: int) -> None:
     if not 0 <= a <= 15:
         raise ValueError(f"not a GF(16) element: {a}")
-
-
-def gf16_add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR."""
-    _check_element(a)
-    _check_element(b)
-    return a ^ b
 
 
 def gf16_mul(a: int, b: int) -> int:
@@ -63,28 +55,10 @@ def gf16_pow(a: int, e: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class ResidueClasses:
-    """Partition of the 15 nonzero elements into the 3 cubic-residue cosets."""
-
-    classes: tuple[frozenset[int], frozenset[int], frozenset[int]]
-
-    def class_of(self, x: int) -> int:
-        """Index of the class containing the nonzero element x."""
-        _check_element(x)
-        if x == 0:
-            raise ValueError("0 belongs to no residue class")
-        for idx, cls in enumerate(self.classes):
-            if x in cls:
-                return idx
-        raise AssertionError("classes do not cover the nonzero elements")
-
-
 @lru_cache(maxsize=1)
-def cubic_classes() -> ResidueClasses:
-    """Class j = {g^(3k+j) : k = 0..4} for the generator g = x."""
+def cubic_classes() -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The 3 cubic-residue cosets: class j = {g^(3k+j) : k = 0..4} for g = x."""
     powers = [gf16_pow(GENERATOR, e) for e in range(15)]
-    classes = tuple(
+    return tuple(
         frozenset(powers[e] for e in range(15) if e % 3 == j) for j in range(3)
     )
-    return ResidueClasses(classes)

@@ -242,6 +242,7 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
             if closed >= best_count:
                 continue
             colors[idx] = x
+            # Inline rather than coloring.toggle: the call makes this hot loop ~15% slower.
             bit_u, bit_v = 1 << v, 1 << u
             rows[x][u] |= bit_u
             rows[x][v] |= bit_v

@@ -30,8 +30,9 @@ from .templates import ColoringTemplate
 FORMAT_TAG = "coloring/1"
 
 
-def _infer_k(colors: bytes) -> int:
-    return max(2, 1 + max(colors, default=0))
+def _one_line(s: str) -> bool:
+    """True iff str.splitlines, which the reader uses, leaves s whole."""
+    return "".join(s.splitlines()) == s
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,13 @@ class ColoringDocument:
         bad = set(self.colors) - set(allowed)
         if bad:
             raise FormatError(f"colors string uses characters outside {allowed!r}: {sorted(bad)}")
-        for key in self.meta:
-            if not key or any(ch in key for ch in " :\n"):
+        # Whatever the reader would split or strip is refused, so every document
+        # written reads back equal.
+        for key, value in self.meta.items():
+            if not isinstance(key, str) or not key or any(ch.isspace() or ch == ":" for ch in key):
                 raise FormatError(f"bad meta key: {key!r}")
-
-    @classmethod
-    def from_coloring(
-        cls, c: EdgeColoring, k: int | None = None, meta: dict[str, str] | None = None
-    ) -> "ColoringDocument":
-        if k is None:
-            k = _infer_k(c.colors)
-        return cls(c.n, k, c.color_string(), dict(meta or {}))
+            if not isinstance(value, str) or value != value.strip() or not _one_line(value):
+                raise FormatError(f"bad meta value for {key!r}: {value!r}")
 
     def to_coloring(self) -> EdgeColoring:
         if "?" in self.colors:
@@ -90,68 +87,63 @@ class ColoringDocument:
             f"k: {self.k}",
             f"colors: {self.colors}",
         ]
-        for key in sorted(self.meta):
-            value = str(self.meta[key])
-            if "\n" in value:
-                raise FormatError(f"meta value for {key!r} contains a newline")
-            lines.append(f"meta.{key}: {value}")
+        lines += [f"meta.{key}: {self.meta[key]}" for key in sorted(self.meta)]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ColoringDocument":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise FormatError("empty document")
-        if lines[0].strip() != FORMAT_TAG:
-            raise FormatError(f"unknown format header: {lines[0]!r}")
-        fields: dict[str, str] = {}
-        meta: dict[str, str] = {}
-        for ln in lines[1:]:
-            key, sep, value = ln.partition(":")
-            if not sep:
-                raise FormatError(f"line is not 'key: value': {ln!r}")
-            key = key.strip()
-            value = value.strip()
-            if key.startswith("meta."):
-                meta[key[len("meta.") :]] = value
-            elif key in ("n", "k", "colors"):
-                if key in fields:
-                    raise FormatError(f"duplicate field: {key}")
-                fields[key] = value
-            else:
-                raise FormatError(f"unknown field: {key!r}")
-        for required in ("n", "k", "colors"):
-            if required not in fields:
-                raise FormatError(f"missing field: {required}")
-        try:
-            n = int(fields["n"])
-            k = int(fields["k"])
-        except ValueError:
-            raise FormatError("n and k must be integers") from None
-        return cls(n, k, fields["colors"], meta)
 
 
 def serialize(
     c: EdgeColoring, k: int | None = None, meta: dict[str, str] | None = None
 ) -> str:
-    """Canonical document text for a coloring; byte-stable for equal inputs."""
-    return ColoringDocument.from_coloring(c, k=k, meta=meta).to_text()
+    """Canonical document text for a coloring; byte-stable for equal inputs.
+
+    k defaults to the fewest colors (at least 2) that cover the coloring.
+    """
+    if k is None:
+        k = max(2, 1 + max(c.colors, default=0))
+    return ColoringDocument(c.n, k, c.color_string(), dict(meta or {})).to_text()
 
 
 def parse(text: str) -> EdgeColoring:
     """Read a document back into a coloring; raises FormatError on bad input."""
-    return ColoringDocument.from_text(text).to_coloring()
+    return parse_document(text).to_coloring()
 
 
 def parse_document(text: str) -> ColoringDocument:
-    return ColoringDocument.from_text(text)
+    """Read a document, '?' open edges included; raises FormatError on bad input."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty document")
+    if lines[0].strip() != FORMAT_TAG:
+        raise FormatError(f"unknown format header: {lines[0]!r}")
+    fields: dict[str, str] = {}
+    for ln in lines[1:]:
+        key, sep, value = ln.partition(":")
+        if not sep:
+            raise FormatError(f"line is not 'key: value': {ln!r}")
+        key = key.strip()
+        if not key.startswith("meta.") and key not in ("n", "k", "colors"):
+            raise FormatError(f"unknown field: {key!r}")
+        if key in fields:
+            raise FormatError(f"duplicate field: {key}")
+        fields[key] = value.strip()
+    for required in ("n", "k", "colors"):
+        if required not in fields:
+            raise FormatError(f"missing field: {required}")
+    try:
+        n = int(fields["n"])
+        k = int(fields["k"])
+    except ValueError:
+        raise FormatError("n and k must be integers") from None
+    meta = {key[len("meta.") :]: v for key, v in fields.items() if key.startswith("meta.")}
+    return ColoringDocument(n, k, fields["colors"], meta)
 
 
 def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) -> str:
     """Document text for a template whose domains are all singleton or full.
 
-    Open edges are written as '?'.  Templates with two-color domains or
-    couplings have no document form.
+    Open edges are written as '?'; parse_document(text).to_template() reads
+    them back.  Templates with two-color domains or couplings have no
+    document form.
     """
     if t.couplings:
         raise FormatError("templates with couplings have no document form")
@@ -166,8 +158,3 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
             raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")
     doc = ColoringDocument(t.n, 3, "".join(chars), dict(meta or {}))
     return doc.to_text()
-
-
-def parse_template(text: str) -> ColoringTemplate:
-    """Read a document, allowing '?' for open edges."""
-    return ColoringDocument.from_text(text).to_template()

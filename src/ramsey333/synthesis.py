@@ -25,6 +25,7 @@ from .coloring import (
     delete_vertex,
     edge_index,
     edge_list,
+    mono_counts,
 )
 from .constructions import construct_gf16
 from .errors import NotTriangleFreeError
@@ -67,12 +68,11 @@ def extension_of_vertex(c: EdgeColoring, v: int) -> VertexExtension:
     )
 
 
-def _require_triangle_free(c: EdgeColoring, what: str) -> None:
-    cen = census(c)
-    if cen.total_mono:
-        raise NotTriangleFreeError(
-            f"{what} contains {cen.total_mono} monochromatic triangle(s)"
-        )
+def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
+    """Raise NotTriangleFreeError "<prefix> <count> monochromatic triangle(s)" if c has any."""
+    mono = sum(mono_counts(c))
+    if mono:
+        raise NotTriangleFreeError(f"{prefix} {mono} monochromatic triangle(s)")
 
 
 def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[VertexExtension]:
@@ -83,7 +83,9 @@ def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[VertexExt
     A spoke pair (u, v) colored x is forbidden exactly when edge (u, v) has
     color x, so candidates are pruned with one bit-row intersection.
     """
-    _require_triangle_free(c, "host coloring")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    _require_triangle_free(c, "host coloring contains")
     rows = bit_rows(c)
     n = c.n
     out: list[VertexExtension] = []
@@ -130,17 +132,13 @@ def assemble(
     """
     if k15.n != 15:
         raise ValueError(f"shared core must have 15 vertices, got {k15.n}")
-    _require_triangle_free(k15, "shared K15")
+    _require_triangle_free(k15, "shared K15 contains")
     for name, ext in (("ea", ea), ("eb", eb)):
         if len(ext) != 15:
             raise ValueError(f"extension {name} has length {len(ext)}, need 15")
-        extended = extend_with(k15, ext)
-        cen = census(extended)
-        if cen.total_mono:
-            raise NotTriangleFreeError(
-                f"extension {name} is not valid for the shared K15: "
-                f"{cen.total_mono} monochromatic triangle(s)"
-            )
+        _require_triangle_free(
+            extend_with(k15, ext), f"extension {name} is not valid for the shared K15:"
+        )
 
     n = 17
     full = frozenset(COLORS)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import COLORS, Color, EdgeColoring, edge_list
+from .coloring import COLORS, Color, EdgeColoring, edge_list, toggle
 
 
 def rotate_color(x: Color, k: int) -> Color:
@@ -111,20 +111,6 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     assigned = bytearray([UNSET]) * m
     rows = [[0] * n for _ in range(3)]  # per-color adjacency over assigned edges
     solutions: list[EdgeColoring] = []
-
-    def place(o: int, x: int) -> None:
-        i, j = edges[o]
-        assigned[o] = x
-        rows[x][i] |= 1 << j
-        rows[x][j] |= 1 << i
-
-    def unplace(o: int) -> None:
-        x = assigned[o]
-        i, j = edges[o]
-        assigned[o] = UNSET
-        rows[x][i] &= ~(1 << j)
-        rows[x][j] &= ~(1 << i)
-
     domain_masks = [sum(1 << c for c in dom) for dom in t.domains]
 
     def feasible_mask(e: int) -> int:
@@ -150,7 +136,8 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
             i, j = edges[e]
             if rows[cx][i] & rows[cx][j]:
                 return False  # would close a monochromatic triangle
-            place(e, cx)
+            assigned[e] = cx
+            toggle(rows, i, j, cx)
             trail.append(e)
             for f, k in partners[e]:
                 pending.append((f, (cx + k) % 3))
@@ -186,7 +173,8 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
                 if dfs(o + 1):
                     return True
             for e in reversed(trail):
-                unplace(e)
+                toggle(rows, *edges[e], assigned[e])
+                assigned[e] = UNSET
         return False
 
     dfs(0)

@@ -87,6 +87,16 @@ def test_extend_on_triangled_host_exit_code(monkeypatch, capsys):
     assert "monochromatic" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_extend_limit_must_be_positive(monkeypatch, capsys, limit):
+    triangle_free_k3 = "coloring/1\nn: 3\nk: 2\ncolors: BBR\n"
+    code, out, err = run(["extend", "--limit", limit], stdin=triangle_free_k3,
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "limit must be positive" in err
+
+
 def test_full_assembly_pipeline(tmp_path, capsys):
     g16 = tmp_path / "g16.txt"
     k15 = tmp_path / "k15.txt"

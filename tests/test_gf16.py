@@ -4,7 +4,8 @@ from itertools import combinations, product
 
 import pytest
 
-from ramsey333 import GENERATOR, cubic_classes, gf16_add, gf16_mul, gf16_pow
+from ramsey333 import COLORS, construct_gf16, cubic_classes
+from ramsey333.gf16 import GENERATOR, gf16_mul, gf16_pow
 
 ELEMENTS = range(16)
 NONZERO = range(1, 16)
@@ -30,7 +31,7 @@ def test_field_axioms_exhaustive():
         assert gf16_mul(a, b) == gf16_mul(b, a)
     for a, b, c in product(ELEMENTS, repeat=3):
         assert gf16_mul(gf16_mul(a, b), c) == gf16_mul(a, gf16_mul(b, c))
-        assert gf16_mul(a, gf16_add(b, c)) == gf16_add(gf16_mul(a, b), gf16_mul(a, c))
+        assert gf16_mul(a, b ^ c) == gf16_mul(a, b) ^ gf16_mul(a, c)
 
 
 def test_pow_examples():
@@ -55,7 +56,7 @@ def test_generator_enumerates_nonzero_elements():
 
 
 def test_cubic_classes_partition():
-    classes = cubic_classes().classes
+    classes = cubic_classes()
     assert classes[0] == frozenset({1, 8, 12, 10, 15})  # g^0, g^3, g^6, g^9, g^12
     assert all(len(cls) == 5 for cls in classes)
     assert frozenset().union(*classes) == frozenset(NONZERO)
@@ -64,15 +65,13 @@ def test_cubic_classes_partition():
 
 
 def test_classes_are_sum_free():
-    for cls in cubic_classes().classes:
+    for cls in cubic_classes():
         for a, b in combinations(sorted(cls), 2):
             assert (a ^ b) not in cls
 
 
 def test_class_of():
-    classes = cubic_classes()
-    for j, cls in enumerate(classes.classes):
+    g = construct_gf16()
+    for j, cls in enumerate(cubic_classes()):
         for x in cls:
-            assert classes.class_of(x) == j
-    with pytest.raises(ValueError):
-        classes.class_of(0)
+            assert g.color(0, x) == COLORS[j]

@@ -1,9 +1,12 @@
 """Document format: round trips, validation, golden files."""
 
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ramsey333 import (
     Color,
@@ -14,7 +17,6 @@ from ramsey333 import (
     construct_gf16,
     parse,
     parse_document,
-    parse_template,
     random_coloring,
     serialize,
     serialize_template,
@@ -76,10 +78,60 @@ def test_parse_rejects_bad_documents():
             parse(text)
 
 
+@pytest.mark.parametrize("meta", [
+    {"key": "a\rb"},  # every str.splitlines separator splits the line
+    {"key": "a\x85b"},
+    {"key": "a\u2028b"},
+    {"key": "a\nb"},
+    {"a\rb": "value"},
+    {"key\u2028": "value"},
+    {"key": " value"},  # the reader strips surrounding whitespace
+    {"key": "value\t"},
+    {"key\t": "value"},
+    {"": "value"},
+    {"a:b": "value"},
+    {"a b": "value"},
+    {"key": 5},
+])
+def test_writer_rejects_meta_the_reader_would_alter(meta):
+    with pytest.raises(FormatError):
+        serialize(EdgeColoring.from_string(3, "BRY"), meta=meta)
+
+
+def test_duplicate_meta_key_is_rejected():
+    with pytest.raises(FormatError, match="duplicate field: meta.a"):
+        parse_document("coloring/1\nn: 3\nk: 3\ncolors: BRY\nmeta.a: 1\nmeta.a: 2\n")
+
+
+_TRICKY = st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029:.?"))
+_TEXT = st.text(st.one_of(_TRICKY, st.characters()), max_size=6)
+
+
+@st.composite
+def _document_fields(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.sampled_from((2, 3)))
+    m = comb(n, 2)
+    colors = draw(st.text(st.sampled_from("BRY"[:k] + "?"), min_size=m, max_size=m))
+    meta = draw(st.dictionaries(_TEXT, _TEXT, max_size=3))
+    return n, k, colors, meta
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_document_fields())
+def test_every_written_document_reads_back_equal(fields):
+    try:
+        doc = ColoringDocument(*fields)
+        text = doc.to_text()
+    except FormatError:
+        reject()
+    assert parse_document(text) == doc
+
+
 def test_k_is_inferred_when_missing():
-    doc = ColoringDocument.from_coloring(EdgeColoring.from_string(3, "BBB"))
+    doc = parse_document(serialize(EdgeColoring.from_string(3, "BBB")))
     assert doc.k == 2
-    doc = ColoringDocument.from_coloring(EdgeColoring.from_string(3, "BRY"))
+    doc = parse_document(serialize(EdgeColoring.from_string(3, "BRY")))
     assert doc.k == 3
 
 
@@ -88,7 +140,7 @@ def test_template_documents():
         _one_open_template(), meta={"method": "assemble"}
     )
     assert "?" in rep_template_text
-    t = parse_template(rep_template_text)
+    t = parse_document(rep_template_text).to_template()
     assert t.open_ordinals() == [2]
     with pytest.raises(FormatError):
         parse(rep_template_text)  # strict coloring parse refuses open edges

@@ -72,6 +72,9 @@ def test_gf16_k15_extension_is_unique():
 def test_find_extensions_limit():
     host = EdgeColoring.from_string(2, "B")
     assert find_extensions(host, limit=3) == find_extensions(host)[:3]
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            find_extensions(host, limit=bad)
 
 
 def test_extend_with_round_trip():

@@ -174,6 +174,7 @@ def cmd_complete(args) -> int:
     report = complete_edge(template, Color.from_char(args.color))
     meta = dict(doc.meta)
     meta["added_edge_color"] = report.added_edge_color.char
+    document = serialize(report.coloring, k=3, meta=meta)
     if args.json:
         print(json.dumps({
             "added_edge_color": report.added_edge_color.char,
@@ -181,8 +182,8 @@ def cmd_complete(args) -> int:
             "triangles_through_new_edge": report.triangles_through_new_edge,
             "colors": report.coloring.color_string(),
         }))
-        return EXIT_OK
-    _write(serialize(report.coloring, k=3, meta=meta), args.out)
+    if args.out or not args.json:
+        _write(document, args.out)
     return EXIT_OK
 
 
@@ -222,7 +223,8 @@ def cmd_search(args) -> int:
         print(f"restarts: {len(result.trace)}  evaluations: {result.evaluations}")
     if args.out:
         meta = {"method": "search", "seed": str(args.seed),
-                "restarts": str(args.restarts), "steps": str(args.steps)}
+                "restarts": str(args.restarts), "steps": str(args.steps),
+                "sideways": str(args.sideways)}
         _write(serialize(result.best, k=args.k, meta=meta), args.out)
     return EXIT_OK
 

@@ -87,7 +87,8 @@ class MonoTriangle(NamedTuple):
 class EdgeColoring:
     """Total assignment of colors to the C(n, 2) edges of K_n.
 
-    `colors` holds Color values (0, 1, 2) in edge-ordinal order.  Instances
+    `colors` holds Color values (0, 1, 2) in edge-ordinal order; any bytes-like
+    value or sequence of ints is accepted and stored as `bytes`.  Instances
     are immutable; derive new colorings with the functions in this module.
     """
 
@@ -97,12 +98,16 @@ class EdgeColoring:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("vertex count must be at least 1")
+        if isinstance(self.colors, int):  # bytes(3) would be three zero bytes
+            raise TypeError("colors must be a sequence of color values, not an int")
+        colors = bytes(self.colors)
+        object.__setattr__(self, "colors", colors)  # a bytearray would be unhashable
         expected = comb(self.n, 2)
-        if len(self.colors) != expected:
+        if len(colors) != expected:
             raise ValueError(
-                f"need {expected} edge colors for n={self.n}, got {len(self.colors)}"
+                f"need {expected} edge colors for n={self.n}, got {len(colors)}"
             )
-        if any(b > 2 for b in self.colors):
+        if colors.translate(None, b"\x00\x01\x02"):
             raise ValueError("edge colors must be 0 (B), 1 (R) or 2 (Y)")
 
     @classmethod

@@ -24,8 +24,14 @@ _HIGHLIGHT_WIDTH = "4.5"
 
 
 def export_figure(c: EdgeColoring, format: str = "svg", highlight_mono: bool = False) -> str:
-    """Render a coloring as a DOT or SVG document string."""
+    """Render a coloring as a DOT or SVG document string.
+
+    `highlight_mono` thickens the chords of monochromatic triangles; it is
+    SVG-only, and asking for it with DOT raises ValueError.
+    """
     if format == "dot":
+        if highlight_mono:
+            raise ValueError("highlighting is SVG-only; use format 'svg'")
         return _export_dot(c)
     if format == "svg":
         return _export_svg(c, highlight_mono)

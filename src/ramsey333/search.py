@@ -12,10 +12,13 @@ early as possible.  The first edge's color is fixed to blue; recoloring is a
 bijection on the search space that permutes colors everywhere at once, so the
 restriction loses no minima.
 
-The seeded generator is Python's Mersenne Twister (random.Random); each edge
-of a random coloring draws uniformly from the first k colors in edge-ordinal
-order, and each restart of `minimize` draws a fresh 64-bit subseed from the
-master stream.
+The seeded generator is Python's Mersenne Twister (random.Random).  A random
+coloring draws its edges in edge-ordinal order, each as `getrandbits(2)`
+redrawn while it is k or more: for k in {2, 3} that is exactly the stream of
+`randrange(k)` (CPython's `_randbelow`), without its per-call overhead.  Each
+restart of `minimize` draws a fresh 64-bit subseed from the master stream.
+numpy is imported by the climb itself, so only a process that climbs pays for
+it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import os
 import random
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from .coloring import Color, EdgeColoring, bit_rows, edge_index, edge_list
 from .errors import BudgetError
@@ -70,8 +71,14 @@ def random_coloring(n: int, k: int, seed: int) -> EdgeColoring:
         raise ValueError("k must be 2 or 3")
     if n < 1:
         raise ValueError("n must be positive")
-    rng = random.Random(seed)
-    return EdgeColoring(n, bytes(rng.randrange(k) for _ in range(comb(n, 2))))
+    draw = random.Random(seed).getrandbits
+    colors = bytearray(comb(n, 2))
+    for e in range(len(colors)):
+        r = draw(2)
+        while r >= k:
+            r = draw(2)
+        colors[e] = r
+    return EdgeColoring(n, colors)
 
 
 def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
@@ -109,6 +116,8 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     move; a plateau walk that reused the ordinal rule would bounce between
     two states forever, while the staleness rule keeps it moving.
     """
+    import numpy as np  # here, not at module top: only a climb needs numpy
+
     n = start.n
     edges = np.array(edge_list(n), dtype=np.intp)
     if len(edges) == 0:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ramsey333 import parse_document
 from ramsey333.cli import main
 
 ALL_BLUE_K3 = "coloring/1\nn: 3\nk: 2\ncolors: BBB\n"
@@ -139,6 +140,14 @@ def test_complete_json(tmp_path, capsys):
     assert payload["mono"] == [5, 0, 0]
     assert payload["triangles_through_new_edge"] == 5
 
+    out17 = tmp_path / "k17.txt"
+    code = main(["complete", str(tmpl), "--color", "B", "--json", "--out", str(out17)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out) == payload
+    assert main(["verify", str(out17), "--expect-mono", "5,0,0"]) == 0
+    capsys.readouterr()
+
 
 def test_complete_rejects_full_coloring(monkeypatch, capsys):
     code, _, err = run(["complete", "--color", "B"], stdin=ALL_BLUE_K3,
@@ -170,6 +179,9 @@ def test_search_human_and_out(tmp_path, capsys):
     assert "best_count: 0" in out
     assert main(["verify", str(best), "--expect-mono", "0,0,0"]) == 0
     capsys.readouterr()
+    meta = parse_document(best.read_text()).meta
+    provenance = (meta["seed"], meta["restarts"], meta["steps"], meta["sideways"])
+    assert provenance == ("2", "3", "200", "50")
 
 
 def test_export_svg_pipe(monkeypatch, capsys):
@@ -186,6 +198,14 @@ def test_export_dot(monkeypatch, capsys):
                        monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert dot.count('color="blue"') == 3
+
+
+def test_export_dot_refuses_highlighting(monkeypatch, capsys):
+    code, out, err = run(["export", "--format", "dot", "--highlight-mono"], stdin=ALL_BLUE_K3,
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "SVG-only" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -53,6 +53,20 @@ def test_coloring_validation():
         EdgeColoring(3, b"\x00\x00\x03")  # not a color
     with pytest.raises(ValueError):
         EdgeColoring(0, b"")
+    for bad in (bytearray(b"\x00\x03\x00"), [0, 0, 3]):
+        with pytest.raises(ValueError, match="edge colors must be"):
+            EdgeColoring(3, bad)
+
+
+def test_coloring_stores_bytes_from_any_byte_sequence():
+    ref = EdgeColoring(3, b"\x00\x01\x02")
+    for colors in (bytearray(b"\x00\x01\x02"), [0, 1, 2], memoryview(b"\x00\x01\x02")):
+        c = EdgeColoring(3, colors)
+        assert type(c.colors) is bytes
+        assert c == ref and hash(c) == hash(ref)
+        assert fast_mono_counts(c) == (0, 0, 0)
+    with pytest.raises(TypeError):
+        EdgeColoring(3, 3)
 
 
 def test_color_order_and_chars():

@@ -26,6 +26,11 @@ def test_unknown_format():
         export_figure(EdgeColoring.from_string(3, "BBB"), format="png")
 
 
+def test_dot_refuses_highlighting():
+    with pytest.raises(ValueError, match="SVG-only"):
+        export_figure(EdgeColoring.from_string(3, "BBB"), format="dot", highlight_mono=True)
+
+
 def test_chord_count_is_edge_count():
     rng = random.Random(8)
     for n in (3, 7, 12, 17):

@@ -1,6 +1,7 @@
 """Local search, the incremental objective, and the exhaustive oracle."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -21,6 +22,15 @@ from ramsey333.search import STATE_BUDGET_ENV
 def test_random_coloring_determinism():
     assert random_coloring(10, 3, 99) == random_coloring(10, 3, 99)
     assert random_coloring(10, 3, 99) != random_coloring(10, 3, 100)
+
+
+def test_random_coloring_is_the_randrange_stream():
+    for n in range(1, 41):
+        for k in (2, 3):
+            for seed in (0, 1, 201, 2**32 + 7, 2**64 - 1):
+                rng = random.Random(seed)
+                expected = bytes(rng.randrange(k) for _ in range(comb(n, 2)))
+                assert random_coloring(n, k, seed) == EdgeColoring(n, expected), (n, k, seed)
 
 
 def test_random_coloring_respects_k():

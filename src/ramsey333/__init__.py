@@ -38,7 +38,7 @@ from .coloring import (
     permute_vertices,
 )
 from .constructions import CYLINDER_LABELS, construct_gf16, cylinder_template, sigma
-from .errors import BudgetError, CapacityError, FormatError, NotTriangleFreeError
+from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
 from .gf16 import cubic_classes
 from .search import (
@@ -81,7 +81,6 @@ __all__ = [
     "BudgetError",
     "COLORS",
     "CYLINDER_LABELS",
-    "CapacityError",
     "Color",
     "ColoringDocument",
     "ColoringTemplate",

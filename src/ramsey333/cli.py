@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .coloring import Color, census, delete_vertex
 from .constructions import construct_gf16, cylinder_template
-from .errors import BudgetError, CapacityError, FormatError, NotTriangleFreeError
+from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
 from .search import SearchParams, exhaustive_min, minimize
 from .serialization import parse_document, serialize, serialize_template
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except NotTriangleFreeError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (CapacityError, BudgetError) as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
     except (ValueError, OSError) as exc:  # FormatError included

@@ -8,8 +8,8 @@ Triangle counting comes in two flavors.  `census` is the brute-force oracle:
 it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  `fast_mono_counts` is the bit-parallel path: per
 color, vertex adjacencies are packed into integer bit rows, and the triangles
-through an edge (i, j) are the set bits of row_i AND row_j.  The fast path is
-capped at 64 vertices so a row fits one machine word; the oracle has no cap.
+through an edge (i, j) are the set bits of row_i AND row_j.  Rows are Python
+ints, so neither path has a vertex cap.
 
 Colorings are immutable and hashable; every function here is pure.
 """
@@ -22,12 +22,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-from .errors import CapacityError
-
-# Bit rows above this vertex count no longer fit a machine word.
-FAST_PATH_MAX_VERTICES = 64
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 
 class Color(IntEnum):
@@ -109,10 +104,6 @@ class EdgeColoring:
             )
         if colors.translate(None, b"\x00\x01\x02"):
             raise ValueError("edge colors must be 0 (B), 1 (R) or 2 (Y)")
-
-    @classmethod
-    def from_colors(cls, n: int, colors: Iterable[int]) -> "EdgeColoring":
-        return cls(n, bytes(int(c) for c in colors))
 
     @classmethod
     def from_string(cls, n: int, s: str) -> "EdgeColoring":
@@ -207,15 +198,6 @@ def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
     Each triangle i < j < k is counted once, at its edge (i, j), by masking
     the row intersection to bits above j.
     """
-    if c.n > FAST_PATH_MAX_VERTICES:
-        raise CapacityError(
-            f"bit-parallel fast path supports n <= {FAST_PATH_MAX_VERTICES}, got {c.n}"
-        )
-    return mono_counts(c)
-
-
-def mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
-    """fast_mono_counts without the vertex cap, for internal triangle-free checks."""
     rows = bit_rows(c)
     counts = [0, 0, 0]
     for (i, j), x in zip(edge_list(c.n), c.colors):

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class CapacityError(Exception):
-    """The instance is too large for a machine-word fast path (n > 64)."""
-
-
 class BudgetError(Exception):
     """The requested enumeration exceeds the configured state budget."""
 

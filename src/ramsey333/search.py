@@ -17,8 +17,6 @@ coloring draws its edges in edge-ordinal order, each as `getrandbits(2)`
 redrawn while it is k or more: for k in {2, 3} that is exactly the stream of
 `randrange(k)` (CPython's `_randbelow`), without its per-call overhead.  Each
 restart of `minimize` draws a fresh 64-bit subseed from the master stream.
-numpy is imported by the climb itself, so only a process that climbs pays for
-it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import Color, EdgeColoring, bit_rows, edge_index, edge_list
+from .coloring import Color, EdgeColoring, bit_rows, edge_index, edge_list, toggle
 from .errors import BudgetError
 
 DEFAULT_STATE_BUDGET = 1 << 25
@@ -107,69 +105,87 @@ _BIG = 1 << 30
 def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     """Steepest-descent hill climb with plateau walking, from one coloring.
 
-    Returns (best count, best coloring, candidate evaluations).  The numpy
-    state is per-color adjacency plus common-neighbor counts, so one scan
-    prices all E*(k-1) moves at once.  Improving steps take the steepest
-    decrease, ties broken by lowest edge ordinal then color order (np.argmin
-    over the (edge, color)-major delta table is exactly that rule).  Plateau
-    steps instead recolor the least recently modified edge with a zero-delta
-    move; a plateau walk that reused the ordinal rule would bounce between
-    two states forever, while the staleness rule keeps it moving.
+    Returns (best count, best coloring, candidate evaluations); every scan
+    counts all E*(k-1) moves.  The state is the per-color bit rows, so a
+    move's delta is two row intersections.  Each edge keeps its best move as
+    one sort key, (delta + n, edge ordinal, color) packed into an int with the
+    lowest color winning a tie, so min(keys) is the steepest decrease with
+    ties broken by lowest edge ordinal then color order.  Plateau steps
+    instead recolor the least recently modified edge with a zero-delta move:
+    edges whose best delta is 0 also keep (last touched + 1, edge ordinal,
+    color) in stale_keys.  A plateau walk that reused the ordinal rule would
+    bounce between two states forever, while the staleness rule keeps it
+    moving.  Recoloring (a, b) from c0 to x changes common-neighbor counts
+    only for edges (a, w) with w a c0- or x-neighbor of b, and symmetrically
+    for (b, w), so only those edges and (a, b) itself are repriced.
     """
-    import numpy as np  # here, not at module top: only a climb needs numpy
-
     n = start.n
-    edges = np.array(edge_list(n), dtype=np.intp)
-    if len(edges) == 0:
-        return 0, start, 0
-    us, vs = edges[:, 0], edges[:, 1]
+    edges = edge_list(n)
     num_edges = len(edges)
-    cur = np.frombuffer(start.colors, dtype=np.uint8).astype(np.intp)
-    adj = np.zeros((3, n, n), dtype=np.int32)
-    adj[cur, us, vs] = 1
-    adj[cur, vs, us] = 1
-    common = adj @ adj  # common[x][a][b] = number of common x-neighbors
-    total = int(common[cur, us, vs].sum()) // 3
+    if num_edges == 0:
+        return 0, start, 0
+    cur = bytearray(start.colors)
+    rows = [[0] * n for _ in range(3)]
+    ordinal = [[0] * n for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        toggle(rows, u, v, cur[e])
+        ordinal[u][v] = ordinal[v][u] = e
+    span = 3 * num_edges  # keys are (major * span + 3 * edge + color)
+    never = (steps_cap + 1) * span  # above every plateau key
+    last_touched = [-1] * num_edges
+    keys = [0] * num_edges
+    stale_keys = [never] * num_edges
 
-    best_count = total
-    best = cur.copy()
+    def price(e):
+        u, v = edges[e]
+        c = cur[e]
+        held = (rows[c][u] & rows[c][v]).bit_count()
+        best = n  # above any delta
+        for y in range(k):
+            if y != c:
+                d = (rows[y][u] & rows[y][v]).bit_count() - held
+                if d < best:
+                    best, x = d, y
+        keys[e] = (best + n) * span + 3 * e + x
+        stale_keys[e] = (last_touched[e] + 1) * span + 3 * e + x if best == 0 else never
+
+    for e in range(num_edges):
+        price(e)
+    total = sum((rows[c][u] & rows[c][v]).bit_count() for (u, v), c in zip(edges, cur)) // 3
+    best_count, best = total, bytes(cur)
     evals = 0
     sideways_used = 0
-    edge_ids = np.arange(num_edges)
-    last_touched = np.full(num_edges, -1, dtype=np.int64)
 
     for step in range(steps_cap):
-        gains = common[:, us, vs]  # (3, E)
-        delta = gains.T - gains[cur, edge_ids][:, None]  # (E, 3)
-        delta[edge_ids, cur] = _BIG
-        if k < 3:
-            delta[:, k:] = _BIG
         evals += num_edges * (k - 1)
-        flat = int(np.argmin(delta))
-        d = int(delta.flat[flat])
+        key = min(keys)
+        d = key // span - n
         if d > 0:
             break
         if d == 0:
             if sideways_used >= sideways_limit:
                 break
             sideways_used += 1
-            staleness = np.where(delta == 0, last_touched[:, None], _BIG)
-            flat = int(np.argmin(staleness))
-        e, x = divmod(flat, 3)
-        c0 = int(cur[e])
-        u, v = int(us[e]), int(vs[e])
-        adj[c0, u, v] = adj[c0, v, u] = 0
-        adj[x, u, v] = adj[x, v, u] = 1
-        common[c0] = adj[c0] @ adj[c0]
-        common[x] = adj[x] @ adj[x]
+            key = min(stale_keys)
+        e, x = divmod(key % span, 3)
+        a, b = edges[e]
+        c0 = cur[e]
+        toggle(rows, a, b, c0)
+        toggle(rows, a, b, x)
         cur[e] = x
         last_touched[e] = step
         total += d
         if total < best_count:
-            best_count = total
-            best = cur.copy()
+            best_count, best = total, bytes(cur)
+        price(e)
+        for p, q in ((a, b), (b, a)):
+            mask = (rows[c0][q] | rows[x][q]) & ~(1 << p)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                price(ordinal[p][low.bit_length() - 1])
 
-    return best_count, EdgeColoring(n, best.astype(np.uint8).tobytes()), evals
+    return best_count, EdgeColoring(n, best), evals
 
 
 def minimize(p: SearchParams) -> SearchResult:

@@ -25,7 +25,7 @@ from .coloring import (
     delete_vertex,
     edge_index,
     edge_list,
-    mono_counts,
+    fast_mono_counts,
 )
 from .constructions import construct_gf16
 from .errors import NotTriangleFreeError
@@ -70,7 +70,7 @@ def extension_of_vertex(c: EdgeColoring, v: int) -> VertexExtension:
 
 def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
     """Raise NotTriangleFreeError "<prefix> <count> monochromatic triangle(s)" if c has any."""
-    mono = sum(mono_counts(c))
+    mono = sum(fast_mono_counts(c))
     if mono:
         raise NotTriangleFreeError(f"{prefix} {mono} monochromatic triangle(s)")
 

@@ -5,8 +5,8 @@ import importlib
 import ramsey333
 
 PUBLIC_NAMES = [
-    "AssemblyReport", "BudgetError", "COLORS", "CYLINDER_LABELS", "CapacityError",
-    "Color", "ColoringDocument", "ColoringTemplate", "Coupling", "EdgeColoring",
+    "AssemblyReport", "BudgetError", "COLORS", "CYLINDER_LABELS", "Color",
+    "ColoringDocument", "ColoringTemplate", "Coupling", "EdgeColoring",
     "FormatError", "MonoTriangle", "NotTriangleFreeError", "SearchParams",
     "SearchResult", "TriangleCensus", "VertexExtension", "assemble", "census",
     "color_degree_profile", "complete_edge", "construct_gf16", "cubic_classes",
@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
 
 # Importable from their modules, not re-exported by the package.
 SUBMODULE_NAMES = {
-    "coloring": ["FAST_PATH_MAX_VERTICES"],
     "gf16": ["GENERATOR", "REDUCTION_POLY", "gf16_mul", "gf16_pow"],
 }
 

@@ -7,7 +7,6 @@ import pytest
 from ramsey333 import (
     Color,
     EdgeColoring,
-    CapacityError,
     census,
     color_degree_profile,
     construct_gf16,
@@ -120,11 +119,9 @@ def test_fast_mono_counts_known_values():
     assert fast_mono_counts(EdgeColoring.from_string(3, "RRR")) == (0, 1, 0)
 
 
-def test_fast_mono_counts_capacity():
-    big = EdgeColoring(65, bytes(65 * 64 // 2))
-    assert census(big).mono[0] > 0  # the oracle has no ceiling
-    with pytest.raises(CapacityError):
-        fast_mono_counts(big)
+def test_fast_mono_counts_has_no_vertex_cap():
+    big = random_coloring(65, 3, 65)  # rows wider than a machine word
+    assert fast_mono_counts(big) == census(big).mono
 
 
 def test_permute_colors_identity_and_rotation():

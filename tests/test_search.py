@@ -1,5 +1,6 @@
 """Local search, the incremental objective, and the exhaustive oracle."""
 
+import hashlib
 import random
 from math import comb
 
@@ -76,6 +77,39 @@ def test_move_delta_matches_recount():
 def test_minimize_is_deterministic():
     p = SearchParams(n=8, k=3, seed=7, restarts=6, steps_per_restart=300, sideways_limit=20)
     assert minimize(p) == minimize(p)
+
+
+# sha256 of repr((trace, best.colors, best_count, evaluations)) per SearchParams:
+# pins whole trajectories (tie-breaks, plateau rule, evaluation count), not just bounds.
+GOLDEN_TRAJECTORIES = [
+    (SearchParams(n=5, k=2, seed=1, restarts=6, steps_per_restart=2000, sideways_limit=0),
+     "20fe56b6d5cb7bdda427d1ea14395634e1af00b18f85d66e841ea2a21f963995"),
+    (SearchParams(n=8, k=3, seed=7, restarts=6, steps_per_restart=300, sideways_limit=50),
+     "e6ef533783e3fe69508959831f2db139caf31a74941f674f333c6cf3717a2af5"),
+    (SearchParams(n=16, k=3, seed=3, restarts=4, steps_per_restart=2000, sideways_limit=400),
+     "3f6eea0c1c2f3e528d953e9943d41f40256cdb9845d4e618f4fe926d6f1bd36d"),
+    (SearchParams(n=16, k=2, seed=5, restarts=3, steps_per_restart=2000, sideways_limit=50),
+     "0a218001e96baa58e8569151b318d5cd0eb4f4169a805e7cc3c3292c468a4607"),
+    (SearchParams(n=17, k=3, seed=0, restarts=4, steps_per_restart=2000, sideways_limit=50),
+     "98f2fef2903c93499cc0ecf17981acf9e32bfe6b8de83c80df0286311af65518"),
+    (SearchParams(n=17, k=3, seed=11, restarts=3, steps_per_restart=2, sideways_limit=400),
+     "900ce61cd5420527aebb194e450baa664518a6ee426e428e0c51b99b4741b886"),
+    (SearchParams(n=17, k=2, seed=2, restarts=3, steps_per_restart=2000, sideways_limit=0),
+     "43a0fa34967fc26e3b1cdd53c6d6bcab19e8324828c831223ffe6a0d79b9ca35"),
+    (SearchParams(n=40, k=3, seed=201, restarts=1, steps_per_restart=2000, sideways_limit=50),
+     "c30138bbb25c21b6198192364efa847e6394f5f483dfe1785f39f459df187145"),
+    (SearchParams(n=40, k=2, seed=9, restarts=1, steps_per_restart=2000, sideways_limit=400),
+     "bcb98d34ca9399400d47196b5b15765a877447de07b10c991dd5cff36475d69d"),
+]
+
+
+@pytest.mark.parametrize("params,digest", GOLDEN_TRAJECTORIES,
+                         ids=[f"n{p.n}-k{p.k}-s{p.sideways_limit}-cap{p.steps_per_restart}"
+                              for p, _ in GOLDEN_TRAJECTORIES])
+def test_minimize_golden_trajectory(params, digest):
+    res = minimize(params)
+    payload = repr((res.trace, res.best.colors, res.best_count, res.evaluations))
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_minimize_result_is_consistent():

@@ -9,7 +9,7 @@ figures.  Every FILE argument accepts '-' (or is omitted) for stdin, and
     ramsey333 construct --method gf16 | ramsey333 verify --expect-mono 0,0,0
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input or
-format, 3 capacity/budget exceeded.
+format, 3 budget exceeded.
 """
 
 from __future__ import annotations

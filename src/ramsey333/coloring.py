@@ -38,7 +38,7 @@ class Color(IntEnum):
 
     @classmethod
     def from_char(cls, ch: str) -> "Color":
-        idx = "BRY".find(ch)
+        idx = "BRY".find(ch) if len(ch) == 1 else -1
         if idx < 0:
             raise ValueError(f"not a color character: {ch!r}")
         return cls(idx)

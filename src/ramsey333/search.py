@@ -239,20 +239,19 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     if n < 1:
         raise ValueError("n must be positive")
     budget = _state_budget()
-    states = k ** comb(n, 2)
-    if states > budget:
-        raise BudgetError(
-            f"{k}^C({n},2) = {states} colorings exceed the budget of {budget}"
-        )
+    # k^m >= 2^m, so m >= budget.bit_length() already exceeds the budget
+    # without forming a power that can run to thousands of digits.
+    m = comb(n, 2)
+    if m >= budget.bit_length() or k**m > budget:
+        raise BudgetError(f"{k}^C({n},2) colorings exceed the budget of {budget}")
 
     # Column order: all edges into vertex v come right after K_{v} is done,
     # so each assignment closes its triangles immediately.
     order = [(u, v) for v in range(1, n) for u in range(v)]
-    m = len(order)
     ordinals = [edge_index(u, v, n) for u, v in order]
     rows = [[0] * n for _ in range(3)]
     colors = bytearray(m)
-    best_count = states + 1  # above any possible count
+    best_count = comb(n, 3) + 1  # above any possible count
     best_colors = None
 
     def dfs(idx: int, count: int) -> None:

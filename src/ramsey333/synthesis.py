@@ -140,23 +140,17 @@ def assemble(
             extend_with(k15, ext), f"extension {name} is not valid for the shared K15:"
         )
 
-    n = 17
-    full = frozenset(COLORS)
-    domains: list[frozenset[Color]] = []
-    for i, j in edge_list(n):
-        if j < 15:
-            domains.append(frozenset({Color(k15.colors[edge_index(i, j, 15)])}))
-        elif j == 15:
-            domains.append(frozenset({ea.spoke_colors[i]}))
-        elif i < 15:  # j == 16
-            domains.append(frozenset({eb.spoke_colors[i]}))
-        else:  # the open edge (15, 16)
-            domains.append(full)
-    return ColoringTemplate(n, tuple(domains))
+    # vertex 16 takes eb plus a placeholder spoke to 15; edge (15, 16) is
+    # the last ordinal and is then opened to the full domain
+    k17 = extend_with(extend_with(k15, ea), VertexExtension(eb.spoke_colors + (Color.BLUE,)))
+    domains = ColoringTemplate.from_coloring(k17).domains
+    return ColoringTemplate(17, domains[:-1] + (frozenset(COLORS),))
 
 
 def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     """Close the single open edge of a template with color x and take census."""
+    if t.couplings:
+        raise ValueError("cannot complete a template with couplings")
     opens = t.open_ordinals()
     if len(opens) != 1 or t.domains[opens[0]] != frozenset(COLORS):
         raise ValueError(

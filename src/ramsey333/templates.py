@@ -8,8 +8,11 @@ one edge's color to another's through the cyclic shift Blue -> Red -> Yellow
 solve_template completes a template into triangle-free colorings by
 depth-first backtracking: edges are decided in ordinal order, colors tried
 in order B < R < Y, coupled edges forced immediately, and any assignment
-that closes a monochromatic triangle is pruned.  The search order is fixed,
-so the first solution is canonical and reproducible.
+that closes a monochromatic triangle is pruned.  After each assignment a
+forward check (Haralick & Elliott, 1980) looks at the undecided edges at the
+vertices it touched and backtracks as soon as one has no usable color left.
+The search order is fixed, so the first solution is canonical and
+reproducible.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     for cp in t.couplings:
         partners[cp.src].append((cp.dst, cp.shift))
         partners[cp.dst].append((cp.src, (3 - cp.shift) % 3))
+    incident: list[list[int]] = [[] for _ in range(n)]  # edge ordinals at each vertex
+    for e, (i, j) in enumerate(edges):
+        incident[i].append(e)
+        incident[j].append(e)
 
     UNSET = 255
     assigned = bytearray([UNSET]) * m
@@ -116,11 +123,10 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     def feasible_mask(e: int) -> int:
         """Colors in e's domain that close no triangle under the current rows."""
         i, j = edges[e]
-        mask = 0
-        for x in (0, 1, 2):
-            if not rows[x][i] & rows[x][j]:
-                mask |= 1 << x
-        return mask & domain_masks[e]
+        b, r, y = rows
+        return domain_masks[e] & (
+            (not b[i] & b[j]) | (not r[i] & r[j]) << 1 | (not y[i] & y[j]) << 2
+        )
 
     def assign_with_couplings(o: int, x: int, trail: list[int]) -> bool:
         """Assign o=x and everything it forces; False on any contradiction."""
@@ -131,30 +137,21 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
                 if assigned[e] != cx:
                     return False
                 continue
-            if cx not in t.domains[e]:
-                return False
-            i, j = edges[e]
-            if rows[cx][i] & rows[cx][j]:
-                return False  # would close a monochromatic triangle
+            if not feasible_mask(e) >> cx & 1:
+                return False  # outside the domain, or closes a monochromatic triangle
             assigned[e] = cx
-            toggle(rows, i, j, cx)
+            toggle(rows, *edges[e], cx)
             trail.append(e)
             for f, k in partners[e]:
                 pending.append((f, (cx + k) % 3))
-        # Forward check: a branch is dead as soon as some undecided edge has no
-        # usable color left, or some coupled pair of undecided edges cannot be
-        # satisfied jointly.  Pruning only, so the DFS leaf order is unchanged.
-        for e in range(m):
-            if assigned[e] == UNSET and not feasible_mask(e):
-                return False
-        for cp in t.couplings:
-            if assigned[cp.src] == UNSET and assigned[cp.dst] == UNSET:
-                src_ok = feasible_mask(cp.src)
-                dst_ok = feasible_mask(cp.dst)
-                if not any(
-                    src_ok >> cx & 1 and dst_ok >> ((cx + cp.shift) % 3) & 1
-                    for cx in (0, 1, 2)
-                ):
+        # Forward check: the branch is dead once an undecided edge has no usable
+        # color left.  Rows only gain bits along a DFS path and change only at
+        # the endpoints of assigned edges, so only edges at a vertex the trail
+        # touched can have lost their last color.  Pruning only, so the DFS
+        # leaf order is unchanged.
+        for v in {v for e in trail for v in edges[e]}:
+            for e in incident[v]:
+                if assigned[e] == UNSET and not feasible_mask(e):
                     return False
         return True
 

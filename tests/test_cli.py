@@ -70,9 +70,10 @@ def test_malformed_document_exit_code(monkeypatch, capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(["exhaustive", "--n", "9", "--k", "3"], capsys=capsys)
-    assert code == 3
-    assert "exceed" in err
+    for n, k in (("9", "3"), ("200", "2")):  # 2^C(200,2) has over 4300 digits
+        code, _, err = run(["exhaustive", "--n", n, "--k", k], capsys=capsys)
+        assert code == 3
+        assert "exceed" in err
 
 
 def test_exhaustive_json(capsys):

@@ -72,8 +72,9 @@ def test_color_order_and_chars():
     assert Color.BLUE < Color.RED < Color.YELLOW
     assert [c.char for c in Color] == ["B", "R", "Y"]
     assert Color.from_char("R") is Color.RED
-    with pytest.raises(ValueError):
-        Color.from_char("G")
+    for text in ("G", "", "BR", "RY", "BRY"):  # exactly one character
+        with pytest.raises(ValueError):
+            Color.from_char(text)
 
 
 def test_census_single_triangles():

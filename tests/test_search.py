@@ -176,6 +176,10 @@ def test_exhaustive_min_budget():
         exhaustive_min(8, 2)  # 2^28 states
     with pytest.raises(BudgetError):
         exhaustive_min(7, 3)  # 3^21 states
+    # k^C(n,2) has more than 4300 digits here; refusing must not format it
+    for n, k in ((200, 2), (135, 3)):
+        with pytest.raises(BudgetError, match="exceed"):
+            exhaustive_min(n, k)
 
 
 def test_exhaustive_budget_env_override(monkeypatch):

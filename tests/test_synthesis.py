@@ -8,6 +8,7 @@ from ramsey333 import (
     COLORS,
     Color,
     ColoringTemplate,
+    Coupling,
     EdgeColoring,
     NotTriangleFreeError,
     VertexExtension,
@@ -124,6 +125,18 @@ def test_complete_edge_requires_one_open_edge():
     rainbow = EdgeColoring.from_string(3, "BRY")
     with pytest.raises(ValueError):
         complete_edge(ColoringTemplate.from_coloring(rainbow), Color.BLUE)
+
+
+def test_complete_edge_refuses_couplings():
+    # closing edge 2 with Y would break the coupling that ties it to edge 1
+    full = frozenset(COLORS)
+    t = ColoringTemplate(
+        3,
+        (frozenset({Color.BLUE}), frozenset({Color.RED}), full),
+        (Coupling(1, 2, 0),),
+    )
+    with pytest.raises(ValueError, match="coupling"):
+        complete_edge(t, Color.YELLOW)
 
 
 def _manual_assembly(host, ea, eb):

@@ -1,5 +1,10 @@
 """Template validation, coupling propagation, and the completion solver."""
 
+import hashlib
+import random
+from itertools import product
+from math import comb
+
 import pytest
 
 from ramsey333 import (
@@ -8,6 +13,7 @@ from ramsey333 import (
     Coupling,
     EdgeColoring,
     census,
+    cylinder_template,
     rotate_color,
     solve_template,
     template_violations,
@@ -103,3 +109,54 @@ def test_limit_must_be_positive():
     t = _template(3, [FULL, FULL, FULL])
     with pytest.raises(ValueError):
         solve_template(t, limit=0)
+
+
+# sha256 of the concatenated colors of the first five cylinder solutions, in
+# DFS order.  Pins the solver's leaf order beyond the first solution.
+CYLINDER_FIRST_5_SHA256 = "f11d3b9f4c46177f1015b7ca8caa0f10bb9ba51e4e93aa1f999a1083ff64f3e9"
+
+
+def test_cylinder_first_five_solutions_pinned():
+    sols = solve_template(cylinder_template(), limit=5)
+    assert len(sols) == 5
+    digest = hashlib.sha256(b"".join(s.colors for s in sols)).hexdigest()
+    assert digest == CYLINDER_FIRST_5_SHA256
+
+
+def _random_template(rng):
+    n = rng.randint(1, 5)
+    m = comb(n, 2)
+    domains = []
+    for _ in range(m):
+        mask = rng.randint(1, 7)
+        domains.append([x for x in Color if mask >> x & 1])
+    couplings = []
+    if m >= 2:
+        for _ in range(rng.randint(0, 3)):
+            src, dst = rng.sample(range(m), 2)
+            couplings.append(Coupling(src, dst, rng.randint(0, 2)))
+    return _template(n, domains, couplings)
+
+
+def _brute_force_solutions(t):
+    """Every conforming triangle-free coloring, lexicographic over sorted domains."""
+    out = []
+    for colors in product(*(sorted(dom) for dom in t.domains)):
+        if any(rotate_color(colors[cp.src], cp.shift) != colors[cp.dst]
+               for cp in t.couplings):
+            continue
+        c = EdgeColoring(t.n, bytes(colors))
+        if census(c).total_mono == 0:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solver_matches_brute_force_in_dfs_order(seed):
+    # lexicographic order over the sorted domains is the DFS leaf order
+    rng = random.Random(seed)
+    for _ in range(200):
+        t = _random_template(rng)
+        expected = _brute_force_solutions(t)
+        assert solve_template(t, limit=10**6) == expected
+        assert solve_template(t, limit=2) == expected[:2]

@@ -11,13 +11,12 @@ color, vertex adjacencies are packed into integer bit rows, and the triangles
 through an edge (i, j) are the set bits of row_i AND row_j.  Rows are Python
 ints, so neither path has a vertex cap.
 
-Colorings are immutable and hashable; every function here is pure.
+Colorings are named tuples, immutable and hashable; every function here is pure.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
@@ -78,8 +77,17 @@ class MonoTriangle(NamedTuple):
     color: Color
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+def _make_via_new(cls, fields):
+    """`_make`, and so `_replace`, via `__new__`; namedtuple's own skips it and calls len()."""
+    return cls(*fields)
+
+
+class _EdgeColoringFields(NamedTuple):
+    n: int
+    colors: bytes
+
+
+class EdgeColoring(_EdgeColoringFields):
     """Total assignment of colors to the C(n, 2) edges of K_n.
 
     `colors` holds Color values (0, 1, 2) in edge-ordinal order; any bytes-like
@@ -87,23 +95,21 @@ class EdgeColoring:
     are immutable; derive new colorings with the functions in this module.
     """
 
-    n: int
-    colors: bytes
+    __slots__ = ()
+    _make = classmethod(_make_via_new)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, colors):
+        if n < 1:
             raise ValueError("vertex count must be at least 1")
-        if isinstance(self.colors, int):  # bytes(3) would be three zero bytes
+        if isinstance(colors, int):  # bytes(3) would be three zero bytes
             raise TypeError("colors must be a sequence of color values, not an int")
-        colors = bytes(self.colors)
-        object.__setattr__(self, "colors", colors)  # a bytearray would be unhashable
-        expected = comb(self.n, 2)
+        colors = bytes(colors)  # a bytearray would be unhashable
+        expected = comb(n, 2)
         if len(colors) != expected:
-            raise ValueError(
-                f"need {expected} edge colors for n={self.n}, got {len(colors)}"
-            )
+            raise ValueError(f"need {expected} edge colors for n={n}, got {len(colors)}")
         if colors.translate(None, b"\x00\x01\x02"):
             raise ValueError("edge colors must be 0 (B), 1 (R) or 2 (Y)")
+        return super().__new__(cls, n, colors)
 
     @classmethod
     def from_string(cls, n: int, s: str) -> "EdgeColoring":
@@ -146,8 +152,7 @@ def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class TriangleCensus:
+class TriangleCensus(NamedTuple):
     """Exact triangle classification of one coloring."""
 
     mono: tuple[int, int, int]  # per color, index = Color value

@@ -13,50 +13,56 @@ bijection on the search space that permutes colors everywhere at once, so the
 restriction loses no minima.
 
 The seeded generator is Python's Mersenne Twister (random.Random).  A random
-coloring draws its edges in edge-ordinal order, each as `getrandbits(2)`
-redrawn while it is k or more: for k in {2, 3} that is exactly the stream of
-`randrange(k)` (CPython's `_randbelow`), without its per-call overhead.  Each
-restart of `minimize` draws a fresh 64-bit subseed from the master stream.
+coloring gives its edges, in edge-ordinal order, the top two bits of successive
+32-bit outputs, skipping values of k or more: for k in {2, 3} exactly the stream
+of `randrange(k)` (CPython's `_randbelow`), drawn w outputs per call as the
+little-endian words of `getrandbits(32 * w)`.  Each restart of `minimize` draws
+a fresh 64-bit subseed from the master stream.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, bit_rows, edge_index, edge_list, toggle
+from .coloring import Color, EdgeColoring, _make_via_new, bit_rows, edge_index, edge_list, toggle
 from .errors import BudgetError
 
 DEFAULT_STATE_BUDGET = 1 << 25
 STATE_BUDGET_ENV = "RAMSEY333_EXHAUSTIVE_BUDGET"
+_TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class _SearchParamsFields(NamedTuple):
     n: int
     k: int
     seed: int
-    restarts: int = 20
-    steps_per_restart: int = 2000
-    sideways_limit: int = 50
+    restarts: int
+    steps_per_restart: int
+    sideways_limit: int
 
-    def __post_init__(self):
-        if self.k not in (2, 3):
+
+class SearchParams(_SearchParamsFields):
+    __slots__ = ()
+    _make = classmethod(_make_via_new)
+
+    def __new__(cls, n, k, seed, restarts=20, steps_per_restart=2000, sideways_limit=50):
+        if k not in (2, 3):
             raise ValueError("k must be 2 or 3")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.restarts < 1 or self.steps_per_restart < 1:
+        if restarts < 1 or steps_per_restart < 1:
             raise ValueError("restarts and steps_per_restart must be positive")
-        if self.sideways_limit < 0:
+        if sideways_limit < 0:
             raise ValueError("sideways_limit must be nonnegative")
+        return super().__new__(cls, n, k, seed, restarts, steps_per_restart, sideways_limit)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best: EdgeColoring
     best_count: int
     trace: tuple[int, ...]  # best value reached in each restart
@@ -70,13 +76,13 @@ def random_coloring(n: int, k: int, seed: int) -> EdgeColoring:
     if n < 1:
         raise ValueError("n must be positive")
     draw = random.Random(seed).getrandbits
-    colors = bytearray(comb(n, 2))
-    for e in range(len(colors)):
-        r = draw(2)
-        while r >= k:
-            r = draw(2)
-        colors[e] = r
-    return EdgeColoring(n, colors)
+    m = comb(n, 2)
+    colors = b""
+    while len(colors) < m:
+        words = (m - len(colors)) * 4 // k + 1  # enough to expect the rest
+        high = draw(32 * words).to_bytes(4 * words, "little")[3::4]  # each word's high byte
+        colors += high.translate(_TOP_TWO_BITS, bytes(range(k << 6, 256)))  # drops >= k
+    return EdgeColoring(n, colors[:m])
 
 
 def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:

@@ -20,10 +20,10 @@ number of open edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
-from .coloring import COLORS, Color, EdgeColoring
+from .coloring import COLORS, Color, EdgeColoring, _make_via_new
 from .errors import FormatError
 from .templates import ColoringTemplate
 
@@ -35,37 +35,42 @@ def _one_line(s: str) -> bool:
     return "".join(s.splitlines()) == s
 
 
-@dataclass(frozen=True)
-class ColoringDocument:
-    """Parsed form of one document: counts, colors string, provenance map."""
-
+class _ColoringDocumentFields(NamedTuple):
     n: int
     k: int
     colors: str
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str]
 
-    def __post_init__(self):
-        if self.k not in (2, 3):
-            raise FormatError(f"k must be 2 or 3, got {self.k}")
-        if self.n < 1:
-            raise FormatError(f"n must be positive, got {self.n}")
-        expected = comb(self.n, 2)
-        if len(self.colors) != expected:
+
+class ColoringDocument(_ColoringDocumentFields):
+    """Parsed form of one document: counts, colors string, provenance map."""
+
+    __slots__ = ()
+    _make = classmethod(_make_via_new)
+
+    def __new__(cls, n, k, colors, meta=None):
+        if k not in (2, 3):
+            raise FormatError(f"k must be 2 or 3, got {k}")
+        if n < 1:
+            raise FormatError(f"n must be positive, got {n}")
+        expected = comb(n, 2)
+        if len(colors) != expected:
             raise FormatError(
-                f"colors string must have length C({self.n},2) = {expected}, "
-                f"got {len(self.colors)}"
+                f"colors string must have length C({n},2) = {expected}, got {len(colors)}"
             )
-        allowed = "BRY"[: self.k] + "?"
-        bad = set(self.colors) - set(allowed)
+        allowed = "BRY"[:k] + "?"
+        bad = set(colors) - set(allowed)
         if bad:
             raise FormatError(f"colors string uses characters outside {allowed!r}: {sorted(bad)}")
+        meta = {} if meta is None else meta
         # Whatever the reader would split or strip is refused, so every document
         # written reads back equal.
-        for key, value in self.meta.items():
+        for key, value in meta.items():
             if not isinstance(key, str) or not key or any(ch.isspace() or ch == ":" for ch in key):
                 raise FormatError(f"bad meta key: {key!r}")
             if not isinstance(value, str) or value != value.strip() or not _one_line(value):
                 raise FormatError(f"bad meta value for {key!r}: {value!r}")
+        return super().__new__(cls, n, k, colors, meta)
 
     def to_coloring(self) -> EdgeColoring:
         if "?" in self.colors:
@@ -151,7 +156,7 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
     full = frozenset(COLORS)
     for o, dom in enumerate(t.domains):
         if len(dom) == 1:
-            chars.append(next(iter(dom)).char)
+            chars.append(Color(next(iter(dom))).char)
         elif dom == full:
             chars.append("?")
         else:

@@ -13,13 +13,14 @@ spoke color class: five triangles, all in the chosen color.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import (
     COLORS,
     Color,
     EdgeColoring,
     TriangleCensus,
+    _make_via_new,
     bit_rows,
     census,
     delete_vertex,
@@ -32,11 +33,15 @@ from .errors import NotTriangleFreeError
 from .templates import ColoringTemplate
 
 
-@dataclass(frozen=True)
-class VertexExtension:
+class _VertexExtensionFields(NamedTuple):
+    spoke_colors: tuple[Color, ...]
+
+
+class VertexExtension(_VertexExtensionFields):
     """Spoke colors for one new vertex, indexed by host vertex."""
 
-    spoke_colors: tuple[Color, ...]
+    __slots__ = ()
+    _make = classmethod(_make_via_new)
 
     @classmethod
     def from_string(cls, s: str) -> "VertexExtension":
@@ -49,8 +54,7 @@ class VertexExtension:
         return len(self.spoke_colors)
 
 
-@dataclass(frozen=True)
-class AssemblyReport:
+class AssemblyReport(NamedTuple):
     """Result of closing the open edge of an assembled template."""
 
     added_edge_color: Color
@@ -157,7 +161,7 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
             "template must have exactly one open edge with the full color domain"
         )
     o = opens[0]
-    colors = bytearray(next(iter(dom)).value for dom in t.domains)
+    colors = bytearray(next(iter(dom)) for dom in t.domains)  # Color or plain int
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
     cen = census(c)

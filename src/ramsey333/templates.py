@@ -17,10 +17,10 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from .coloring import COLORS, Color, EdgeColoring, edge_list, toggle
+from .coloring import COLORS, Color, EdgeColoring, _make_via_new, edge_list, toggle
 
 
 def rotate_color(x: Color, k: int) -> Color:
@@ -28,8 +28,7 @@ def rotate_color(x: Color, k: int) -> Color:
     return Color((int(x) + k) % 3)
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(NamedTuple):
     """Functional constraint: color(dst) = rotate_color(color(src), shift)."""
 
     src: int
@@ -37,30 +36,35 @@ class Coupling:
     shift: int
 
 
-@dataclass(frozen=True)
-class ColoringTemplate:
-    """Partial coloring of K_n: one nonempty domain per edge ordinal."""
-
+class _ColoringTemplateFields(NamedTuple):
     n: int
     domains: tuple[frozenset[Color], ...]
-    couplings: tuple[Coupling, ...] = ()
+    couplings: tuple[Coupling, ...]
 
-    def __post_init__(self):
-        m = comb(self.n, 2)
-        if len(self.domains) != m:
-            raise ValueError(f"need {m} domains for n={self.n}, got {len(self.domains)}")
-        for o, dom in enumerate(self.domains):
+
+class ColoringTemplate(_ColoringTemplateFields):
+    """Partial coloring of K_n: one nonempty domain per edge ordinal."""
+
+    __slots__ = ()
+    _make = classmethod(_make_via_new)
+
+    def __new__(cls, n, domains, couplings=()):
+        m = comb(n, 2)
+        if len(domains) != m:
+            raise ValueError(f"need {m} domains for n={n}, got {len(domains)}")
+        for o, dom in enumerate(domains):
             if not dom:
                 raise ValueError(f"empty domain at edge ordinal {o}")
             if not dom <= set(COLORS):
                 raise ValueError(f"domain at edge ordinal {o} contains non-colors")
-        for cp in self.couplings:
+        for cp in couplings:
             if not (0 <= cp.src < m and 0 <= cp.dst < m):
                 raise ValueError(f"coupling ordinal out of range: {cp}")
             if cp.src == cp.dst:
                 raise ValueError(f"coupling ties an edge to itself: {cp}")
             if cp.shift not in (0, 1, 2):
                 raise ValueError(f"coupling shift must be 0, 1 or 2: {cp}")
+        return super().__new__(cls, n, domains, couplings)
 
     @classmethod
     def from_coloring(cls, c: EdgeColoring) -> "ColoringTemplate":

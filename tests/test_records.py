@@ -1,0 +1,165 @@
+"""The record types: repr text, equality and hashing, immutability, validation.
+
+The search-panel digest hashes repr(SearchParams), and bit_rows' cache is
+keyed on EdgeColoring, so repr text and field-wise hashing are pinned here.
+"""
+
+import pytest
+
+from ramsey333 import (
+    AssemblyReport,
+    Color,
+    ColoringDocument,
+    ColoringTemplate,
+    Coupling,
+    EdgeColoring,
+    FormatError,
+    SearchParams,
+    SearchResult,
+    VertexExtension,
+    census,
+)
+
+B, R, Y = Color.BLUE, Color.RED, Color.YELLOW
+
+
+def _coloring():
+    return EdgeColoring(3, b"\x00\x00\x01")
+
+
+# (build a fresh instance, its repr, a field to assign to)
+RECORDS = {
+    "EdgeColoring": (
+        _coloring,
+        r"EdgeColoring(n=3, colors=b'\x00\x00\x01')",
+        "colors",
+    ),
+    "TriangleCensus": (
+        lambda: census(EdgeColoring(3, b"\x00\x00\x00")),
+        "TriangleCensus(mono=(1, 0, 0), bichromatic=0, rainbow=0, "
+        "mono_list=(MonoTriangle(i=0, j=1, k=2, color=<Color.BLUE: 0>),))",
+        "mono",
+    ),
+    "SearchParams": (
+        lambda: SearchParams(n=5, k=2, seed=1),
+        "SearchParams(n=5, k=2, seed=1, restarts=20, steps_per_restart=2000, "
+        "sideways_limit=50)",
+        "seed",
+    ),
+    "SearchResult": (
+        lambda: SearchResult(_coloring(), 0, (0,), 6),
+        r"SearchResult(best=EdgeColoring(n=3, colors=b'\x00\x00\x01'), best_count=0, "
+        "trace=(0,), evaluations=6)",
+        "best_count",
+    ),
+    "Coupling": (
+        lambda: Coupling(0, 1, 2),
+        "Coupling(src=0, dst=1, shift=2)",
+        "shift",
+    ),
+    "ColoringTemplate": (
+        lambda: ColoringTemplate(2, (frozenset({R}),)),
+        "ColoringTemplate(n=2, domains=(frozenset({<Color.RED: 1>}),), couplings=())",
+        "domains",
+    ),
+    "VertexExtension": (
+        lambda: VertexExtension((R, Y)),
+        "VertexExtension(spoke_colors=(<Color.RED: 1>, <Color.YELLOW: 2>))",
+        "spoke_colors",
+    ),
+    "AssemblyReport": (
+        lambda: AssemblyReport(B, census(_coloring()), 0, _coloring()),
+        "AssemblyReport(added_edge_color=<Color.BLUE: 0>, census=TriangleCensus("
+        "mono=(0, 0, 0), bichromatic=1, rainbow=0, mono_list=()), "
+        r"triangles_through_new_edge=0, coloring=EdgeColoring(n=3, colors=b'\x00\x00\x01'))",
+        "census",
+    ),
+    "ColoringDocument": (
+        lambda: ColoringDocument(2, 2, "B"),
+        "ColoringDocument(n=2, k=2, colors='B', meta={})",
+        "colors",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_repr_equality_and_immutability(name):
+    build, text, field = RECORDS[name]
+    a, b = build(), build()
+    assert repr(a) == text
+    assert a == b and a is not b
+    if name == "ColoringDocument":
+        with pytest.raises(TypeError):  # meta is a dict
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+# (record, positional arguments, the same by keyword, error, message)
+BAD_INPUTS = [
+    (EdgeColoring, (0, b""), {"n": 0, "colors": b""}, ValueError, "at least 1"),
+    (EdgeColoring, (2, 3), {"n": 2, "colors": 3}, TypeError, "not an int"),
+    (EdgeColoring, (3, b"\x00"), {"n": 3, "colors": b"\x00"}, ValueError, "need 3 edge colors"),
+    (EdgeColoring, (2, b"\x03"), {"n": 2, "colors": b"\x03"}, ValueError, "must be 0"),
+    (SearchParams, (5, 4, 1), {"n": 5, "k": 4, "seed": 1}, ValueError, "k must be 2 or 3"),
+    (SearchParams, (5, 2, -1), {"n": 5, "k": 2, "seed": -1}, ValueError, "64 bits"),
+    (SearchParams, (5, 2, 1, 0), {"n": 5, "k": 2, "seed": 1, "restarts": 0},
+     ValueError, "must be positive"),
+    (ColoringTemplate, (3, ()), {"n": 3, "domains": ()}, ValueError, "need 3 domains"),
+    (ColoringTemplate, (2, (frozenset(),)), {"n": 2, "domains": (frozenset(),)},
+     ValueError, "empty domain"),
+    (ColoringTemplate, (2, (frozenset({B}),), (Coupling(0, 0, 1),)),
+     {"n": 2, "domains": (frozenset({B}),), "couplings": (Coupling(0, 0, 1),)},
+     ValueError, "to itself"),
+    (ColoringDocument, (2, 4, "B"), {"n": 2, "k": 4, "colors": "B"}, FormatError, "k must be"),
+    (ColoringDocument, (2, 2, "Y"), {"n": 2, "k": 2, "colors": "Y"}, FormatError, "outside"),
+    (ColoringDocument, (2, 2, "B", {"a b": "c"}),
+     {"n": 2, "k": 2, "colors": "B", "meta": {"a b": "c"}}, FormatError, "bad meta key"),
+]
+
+
+@pytest.mark.parametrize("record, args, kwargs, error, message", BAD_INPUTS)
+def test_validated_records_refuse_bad_input(record, args, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        record(*args)
+    with pytest.raises(error, match=message):
+        record(**kwargs)
+
+
+def test_validated_records_normalise_their_values():
+    c = EdgeColoring(3, bytearray(b"\x00\x01\x02"))
+    assert type(c.colors) is bytes
+    assert c == EdgeColoring(3, [0, 1, 2])
+    assert ColoringDocument(2, 2, "B").meta is not ColoringDocument(2, 2, "B").meta
+
+
+def test_replace_goes_through_the_checks():
+    with pytest.raises(ValueError, match="at least 1"):
+        _coloring()._replace(n=0)
+    assert type(_coloring()._replace(colors=bytearray(3)).colors) is bytes
+    with pytest.raises(ValueError, match="k must be 2 or 3"):
+        SearchParams(n=5, k=2, seed=1)._replace(k=4)
+    with pytest.raises(ValueError, match="to itself"):
+        ColoringTemplate(2, (frozenset({B}),))._replace(couplings=(Coupling(0, 0, 1),))
+    with pytest.raises(FormatError, match="k must be"):
+        ColoringDocument(2, 2, "B")._replace(k=4)
+    assert SearchParams(n=5, k=2, seed=1)._replace(seed=2) == SearchParams(n=5, k=2, seed=2)
+
+
+def test_vertex_extension_len_leaves_make_and_replace_working():
+    ext = VertexExtension((R, Y, B))
+    assert len(ext) == 3
+    assert VertexExtension._make([(R, Y, B)]) == ext
+    assert ext._replace(spoke_colors=(B, B)) == VertexExtension((B, B))
+    assert len(ext._replace(spoke_colors=(B, B))) == 2
+
+
+def test_records_unpack_and_equal_their_field_tuples():
+    n, colors = _coloring()
+    assert (n, colors) == _coloring() == (3, b"\x00\x00\x01")
+    assert SearchParams(5, 2, 1) == (5, 2, 1, 20, 2000, 50)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from ramsey333 import (
     move_delta,
     random_coloring,
 )
+from ramsey333 import search
 from ramsey333.search import STATE_BUDGET_ENV
 
 
@@ -25,13 +27,25 @@ def test_random_coloring_determinism():
     assert random_coloring(10, 3, 99) != random_coloring(10, 3, 100)
 
 
-def test_random_coloring_is_the_randrange_stream():
-    for n in range(1, 41):
-        for k in (2, 3):
-            for seed in (0, 1, 201, 2**32 + 7, 2**64 - 1):
-                rng = random.Random(seed)
-                expected = bytes(rng.randrange(k) for _ in range(comb(n, 2)))
-                assert random_coloring(n, k, seed) == EdgeColoring(n, expected), (n, k, seed)
+def test_random_coloring_is_the_randrange_stream(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(search, "random", SimpleNamespace(Random=CountingRandom))
+    refilled = 0
+    cases = [(n, k) for n in range(1, 41) for k in (2, 3)] + [(64, 2), (100, 2)]
+    for n, k in cases:
+        for seed in (0, 1, 201, 2**32 + 7, 2**64 - 1):
+            rng = random.Random(seed)
+            expected = bytes(rng.randrange(k) for _ in range(comb(n, 2)))
+            draws.append(0)
+            assert random_coloring(n, k, seed) == EdgeColoring(n, expected), (n, k, seed)
+            refilled += draws[-1] > 1
+    assert refilled  # the batch-refill path ran
 
 
 def test_random_coloring_respects_k():

@@ -1,7 +1,9 @@
 """The package never imports numpy: not on import, not in a CLI search, not in a climb.
+Nor does importing the CLI pull in `dataclasses` or `inspect`, which cost a
+short-lived process more than the package itself.
 
 Each check runs in a fresh interpreter, because this test process may have
-imported numpy already.
+imported these modules already.
 """
 
 import os
@@ -23,10 +25,26 @@ ramsey333.minimize(ramsey333.SearchParams(n=17, k=3, seed=0, restarts=1))
 print("numpy" in sys.modules)
 """
 
+# Compared before and after the import: some interpreters preload inspect from site.
+IMPORT_CHILD = """
+import sys
+before = set(sys.modules)
+import ramsey333.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
 
-def test_numpy_is_never_imported():
+
+def _run_child(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False"]
+    return proc.stdout
+
+
+def test_numpy_is_never_imported():
+    assert _run_child(CHILD).split() == ["False", "False", "False"]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    assert _run_child(IMPORT_CHILD).strip() == "[]"

@@ -22,6 +22,8 @@ from ramsey333 import (
     extend_with,
     extension_of_vertex,
     find_extensions,
+    serialize_template,
+    solve_template,
     twin_k17,
 )
 
@@ -211,3 +213,15 @@ def test_vertex_extension_string_round_trip():
     ext = VertexExtension.from_string("BRY")
     assert ext.color_string() == "BRY"
     assert len(ext) == 3
+
+
+def test_int_domains_act_like_color_domains():
+    # ints compare equal to Color members, so the template accepts them
+    ints = ColoringTemplate(3, (frozenset({0}), frozenset({1}), frozenset({0, 1, 2})))
+    colors = ColoringTemplate(
+        3, (frozenset({Color.BLUE}), frozenset({Color.RED}), frozenset(COLORS))
+    )
+    for x in COLORS:
+        assert complete_edge(ints, x) == complete_edge(colors, x)
+    assert serialize_template(ints) == serialize_template(colors)
+    assert solve_template(ints, limit=3) == solve_template(colors, limit=3)

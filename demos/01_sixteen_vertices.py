@@ -17,7 +17,6 @@ from ramsey333 import (
     cubic_classes,
     export_figure,
     fast_mono_counts,
-    fingerprint,
 )
 
 print("The three cubic-residue classes of GF(16):")
@@ -37,7 +36,6 @@ print(f"  bit-parallel counts agree: {fast_mono_counts(g) == cen.mono}")
 
 profiles = {color_degree_profile(g, v) for v in range(16)}
 print(f"  color degrees at every vertex: {profiles}")
-print(f"  fingerprint: {fingerprint(g)[:16]}...")
 
 out = Path(__file__).with_name("gf16_k16.svg")
 out.write_text(export_figure(g, format="svg"))

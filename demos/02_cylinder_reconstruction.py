@@ -15,8 +15,6 @@ from ramsey333 import (
     CYLINDER_LABELS,
     census,
     cylinder_template,
-    fingerprint,
-    construct_gf16,
     sigma,
     solve_template,
     template_violations,
@@ -49,7 +47,3 @@ ok = all(
     for i, j in product(range(1, 6), repeat=2)
 )
 print(f"  sigma coupling holds on all 25 cross triples: {ok}")
-
-print("\nfingerprints (equality proves nothing; inequality proves non-isomorphism):")
-print(f"  cylinder: {fingerprint(first)[:16]}...")
-print(f"  gf16:     {fingerprint(construct_gf16())[:16]}...")

@@ -30,7 +30,7 @@ print(f"K15 core: census mono = {census(k15).mono}")
 
 extensions = find_extensions(k15)
 print(f"triangle-free extensions of the core: {len(extensions)}")
-print(f"  spokes: {extensions[0].color_string()}")
+print(f"  spokes: {''.join('BRY'[x] for x in extensions[0])}")
 print(f"  identical to the deleted vertex's spokes: "
       f"{extensions[0] == extension_of_vertex(g, 0)}")
 

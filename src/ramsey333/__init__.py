@@ -29,11 +29,9 @@ from .coloring import (
     census,
     color_degree_profile,
     delete_vertex,
-    edge_endpoints,
     edge_index,
     edge_list,
     fast_mono_counts,
-    fingerprint,
     permute_colors,
     permute_vertices,
 )
@@ -58,7 +56,6 @@ from .serialization import (
 )
 from .synthesis import (
     AssemblyReport,
-    VertexExtension,
     assemble,
     complete_edge,
     extend_with,
@@ -92,7 +89,6 @@ __all__ = [
     "SearchParams",
     "SearchResult",
     "TriangleCensus",
-    "VertexExtension",
     "assemble",
     "census",
     "color_degree_profile",
@@ -101,7 +97,6 @@ __all__ = [
     "cubic_classes",
     "cylinder_template",
     "delete_vertex",
-    "edge_endpoints",
     "edge_index",
     "edge_list",
     "exhaustive_min",
@@ -110,7 +105,6 @@ __all__ = [
     "extension_of_vertex",
     "fast_mono_counts",
     "find_extensions",
-    "fingerprint",
     "minimize",
     "move_delta",
     "parse",

@@ -26,7 +26,6 @@ from .figures import export_figure
 from .search import SearchParams, exhaustive_min, minimize
 from .serialization import parse_document, serialize, serialize_template
 from .synthesis import (
-    VertexExtension,
     assemble,
     complete_edge,
     find_extensions,
@@ -69,14 +68,14 @@ def _load_coloring(path: str):
     return doc.to_coloring(), doc
 
 
-def _load_extension(path: str) -> VertexExtension:
+def _load_extension(path: str) -> bytes:
     text = _read(path).strip()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise FormatError(
             f"extension file must contain exactly one spoke string, got {len(lines)} lines"
         )
-    return VertexExtension.from_string(lines[0].strip())
+    return bytes(Color.from_char(ch) for ch in lines[0].strip())
 
 
 def cmd_construct(args) -> int:
@@ -148,12 +147,12 @@ def cmd_delete_vertex(args) -> int:
 def cmd_extend(args) -> int:
     c, _ = _load_coloring(args.file)
     extensions = find_extensions(c, limit=args.limit)
+    spokes = ["".join("BRY"[x] for x in e) for e in extensions]
     if args.json:
-        print(json.dumps({"count": len(extensions),
-                          "extensions": [e.color_string() for e in extensions]}))
+        print(json.dumps({"count": len(extensions), "extensions": spokes}))
     else:
-        for e in extensions:
-            print(e.color_string())
+        for line in spokes:
+            print(line)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ Colorings are named tuples, immutable and hashable; every function here is pure.
 
 from __future__ import annotations
 
-import hashlib
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
@@ -60,14 +59,6 @@ def edge_index(i: int, j: int, n: int) -> int:
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """All edges of K_n in ordinal order."""
     return tuple(combinations(range(n), 2))
-
-
-def edge_endpoints(ordinal: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    edges = edge_list(n)
-    if not 0 <= ordinal < len(edges):
-        raise ValueError(f"edge ordinal {ordinal} out of range for n={n}")
-    return edges[ordinal]
 
 
 class MonoTriangle(NamedTuple):
@@ -212,8 +203,7 @@ def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
 
 def permute_colors(c: EdgeColoring, pi: Mapping[Color, Color]) -> EdgeColoring:
     """Replace every edge color x by pi[x]; pi must be a bijection on the colors."""
-    images = {Color(pi[x]) for x in COLORS}
-    if images != set(COLORS):
+    if any(x not in pi for x in COLORS) or {Color(pi[x]) for x in COLORS} != set(COLORS):
         raise ValueError("color permutation must be a bijection on {B, R, Y}")
     table = bytearray(range(256))
     for x in COLORS:
@@ -252,16 +242,3 @@ def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
     rows = bit_rows(c)
     return tuple(rows[x][v].bit_count() for x in range(3))
-
-
-def fingerprint(c: EdgeColoring) -> str:
-    """Deterministic token from a relabeling-invariant summary.
-
-    Token inequality proves the colorings are not vertex-relabelings of each
-    other; equality proves nothing.  The summary is the sorted multiset of
-    color degree profiles plus the triangle census counts.
-    """
-    profiles = sorted(color_degree_profile(c, v) for v in range(c.n))
-    cen = census(c)
-    payload = repr((c.n, profiles, cen.mono, cen.bichromatic, cen.rainbow))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()

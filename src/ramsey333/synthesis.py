@@ -20,7 +20,6 @@ from .coloring import (
     Color,
     EdgeColoring,
     TriangleCensus,
-    _make_via_new,
     bit_rows,
     census,
     delete_vertex,
@@ -33,27 +32,6 @@ from .errors import NotTriangleFreeError
 from .templates import ColoringTemplate
 
 
-class _VertexExtensionFields(NamedTuple):
-    spoke_colors: tuple[Color, ...]
-
-
-class VertexExtension(_VertexExtensionFields):
-    """Spoke colors for one new vertex, indexed by host vertex."""
-
-    __slots__ = ()
-    _make = classmethod(_make_via_new)
-
-    @classmethod
-    def from_string(cls, s: str) -> "VertexExtension":
-        return cls(tuple(Color.from_char(ch) for ch in s))
-
-    def color_string(self) -> str:
-        return "".join(x.char for x in self.spoke_colors)
-
-    def __len__(self) -> int:
-        return len(self.spoke_colors)
-
-
 class AssemblyReport(NamedTuple):
     """Result of closing the open edge of an assembled template."""
 
@@ -63,13 +41,11 @@ class AssemblyReport(NamedTuple):
     coloring: EdgeColoring
 
 
-def extension_of_vertex(c: EdgeColoring, v: int) -> VertexExtension:
-    """The spokes vertex v already has in c, indexed like delete_vertex(c, v)."""
+def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
+    """The spoke colors vertex v already has in c, indexed like delete_vertex(c, v)."""
     if not 0 <= v < c.n:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
-    return VertexExtension(
-        tuple(c.color(u, v) for u in range(c.n) if u != v)
-    )
+    return bytes(c.color(u, v) for u in range(c.n) if u != v)
 
 
 def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
@@ -79,26 +55,27 @@ def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
         raise NotTriangleFreeError(f"{prefix} {mono} monochromatic triangle(s)")
 
 
-def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[VertexExtension]:
+def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[bytes]:
     """All spoke colorings whose one-vertex extension of c stays triangle-free.
 
     Depth-first over host vertices in index order, colors in order B < R < Y;
     the output order is that DFS order.  The host must be triangle-free.
     A spoke pair (u, v) colored x is forbidden exactly when edge (u, v) has
     color x, so candidates are pruned with one bit-row intersection.
+    Each extension is bytes of spoke colors, indexed by host vertex.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     _require_triangle_free(c, "host coloring contains")
     rows = bit_rows(c)
     n = c.n
-    out: list[VertexExtension] = []
+    out: list[bytes] = []
     spokes = bytearray(n)
     chosen = [0, 0, 0]  # per color, bitmask of vertices already given that spoke
 
     def dfs(v: int) -> bool:
         if v == n:
-            out.append(VertexExtension(tuple(Color(b) for b in spokes)))
+            out.append(bytes(spokes))
             return limit is not None and len(out) >= limit
         for x in (0, 1, 2):
             if chosen[x] & rows[x][v]:
@@ -115,18 +92,18 @@ def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[VertexExt
     return out
 
 
-def extend_with(c: EdgeColoring, e: VertexExtension) -> EdgeColoring:
-    """K_{n+1} with the new vertex appended as index n."""
+def extend_with(c: EdgeColoring, e: bytes) -> EdgeColoring:
+    """K_{n+1} with the new vertex appended as index n; e[i] colors its spoke to i."""
     if len(e) != c.n:
         raise ValueError(f"extension length {len(e)} does not match n={c.n}")
     return EdgeColoring.from_function(
         c.n + 1,
-        lambda i, j: e.spoke_colors[i] if j == c.n else c.colors[edge_index(i, j, c.n)],
+        lambda i, j: e[i] if j == c.n else c.colors[edge_index(i, j, c.n)],
     )
 
 
 def assemble(
-    k15: EdgeColoring, ea: VertexExtension, eb: VertexExtension
+    k15: EdgeColoring, ea: bytes, eb: bytes
 ) -> ColoringTemplate:
     """Template on 17 vertices: shared K_15, two extended vertices, one open edge.
 
@@ -146,7 +123,7 @@ def assemble(
 
     # vertex 16 takes eb plus a placeholder spoke to 15; edge (15, 16) is
     # the last ordinal and is then opened to the full domain
-    k17 = extend_with(extend_with(k15, ea), VertexExtension(eb.spoke_colors + (Color.BLUE,)))
+    k17 = extend_with(extend_with(k15, ea), bytes(eb) + bytes([Color.BLUE]))
     domains = ColoringTemplate.from_coloring(k17).domains
     return ColoringTemplate(17, domains[:-1] + (frozenset(COLORS),))
 

@@ -115,7 +115,7 @@ def test_criterion_4_overlap_law():
         for x in COLORS:
             rep = complete_edge(template, x)
             overlap = sum(
-                1 for v in range(15) if ea.spoke_colors[v] == eb.spoke_colors[v] == x
+                1 for v in range(15) if ea[v] == eb[v] == x
             )
             expected = [0, 0, 0]
             expected[x] = overlap

@@ -8,11 +8,11 @@ PUBLIC_NAMES = [
     "AssemblyReport", "BudgetError", "COLORS", "CYLINDER_LABELS", "Color",
     "ColoringDocument", "ColoringTemplate", "Coupling", "EdgeColoring",
     "FormatError", "MonoTriangle", "NotTriangleFreeError", "SearchParams",
-    "SearchResult", "TriangleCensus", "VertexExtension", "assemble", "census",
+    "SearchResult", "TriangleCensus", "assemble", "census",
     "color_degree_profile", "complete_edge", "construct_gf16", "cubic_classes",
-    "cylinder_template", "delete_vertex", "edge_endpoints", "edge_index", "edge_list",
+    "cylinder_template", "delete_vertex", "edge_index", "edge_list",
     "exhaustive_min", "export_figure", "extend_with", "extension_of_vertex",
-    "fast_mono_counts", "find_extensions", "fingerprint", "minimize", "move_delta",
+    "fast_mono_counts", "find_extensions", "minimize", "move_delta",
     "parse", "parse_document", "permute_colors", "permute_vertices",
     "random_coloring", "rotate_color", "serialize", "serialize_template", "sigma",
     "solve_template", "template_violations", "twin_k17",

@@ -16,7 +16,6 @@ from ramsey333 import (
     FormatError,
     SearchParams,
     SearchResult,
-    VertexExtension,
     census,
 )
 
@@ -61,11 +60,6 @@ RECORDS = {
         lambda: ColoringTemplate(2, (frozenset({R}),)),
         "ColoringTemplate(n=2, domains=(frozenset({<Color.RED: 1>}),), couplings=())",
         "domains",
-    ),
-    "VertexExtension": (
-        lambda: VertexExtension((R, Y)),
-        "VertexExtension(spoke_colors=(<Color.RED: 1>, <Color.YELLOW: 2>))",
-        "spoke_colors",
     ),
     "AssemblyReport": (
         lambda: AssemblyReport(B, census(_coloring()), 0, _coloring()),
@@ -149,14 +143,6 @@ def test_replace_goes_through_the_checks():
     with pytest.raises(FormatError, match="k must be"):
         ColoringDocument(2, 2, "B")._replace(k=4)
     assert SearchParams(n=5, k=2, seed=1)._replace(seed=2) == SearchParams(n=5, k=2, seed=2)
-
-
-def test_vertex_extension_len_leaves_make_and_replace_working():
-    ext = VertexExtension((R, Y, B))
-    assert len(ext) == 3
-    assert VertexExtension._make([(R, Y, B)]) == ext
-    assert ext._replace(spoke_colors=(B, B)) == VertexExtension((B, B))
-    assert len(ext._replace(spoke_colors=(B, B))) == 2
 
 
 def test_records_unpack_and_equal_their_field_tuples():

@@ -1,6 +1,7 @@
 """The package never imports numpy: not on import, not in a CLI search, not in a climb.
-Nor does importing the CLI pull in `dataclasses` or `inspect`, which cost a
-short-lived process more than the package itself.
+Nor does importing the CLI pull in `dataclasses`, `inspect` or `hashlib`
+(with OpenSSL's `_hashlib`), which cost a short-lived process more than the
+package itself.
 
 Each check runs in a fresh interpreter, because this test process may have
 imported these modules already.
@@ -30,7 +31,7 @@ IMPORT_CHILD = """
 import sys
 before = set(sys.modules)
 import ramsey333.cli
-print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "hashlib", "_hashlib"} & (set(sys.modules) - before)))
 """
 
 

@@ -11,7 +11,6 @@ from ramsey333 import (
     Coupling,
     EdgeColoring,
     NotTriangleFreeError,
-    VertexExtension,
     assemble,
     census,
     complete_edge,
@@ -42,7 +41,7 @@ def test_find_extensions_on_single_edge_host():
     host = EdgeColoring.from_string(2, "B")
     exts = find_extensions(host)
     assert len(exts) == 8  # all 9 spoke pairs except (Blue, Blue)
-    assert VertexExtension((Color.BLUE, Color.BLUE)) not in exts
+    assert bytes([Color.BLUE, Color.BLUE]) not in exts
 
 
 def test_find_extensions_requires_triangle_free_host():
@@ -59,7 +58,7 @@ def test_find_extensions_complete_and_sound_vs_brute_force():
     for small in (host, pentagon):
         brute = []
         for combo in product(range(3), repeat=small.n):
-            ext = VertexExtension(tuple(Color(x) for x in combo))
+            ext = bytes(combo)
             if census(extend_with(small, ext)).total_mono == 0:
                 brute.append(ext)
         assert find_extensions(small) == brute
@@ -70,6 +69,8 @@ def test_gf16_k15_extension_is_unique():
     exts = find_extensions(k15)
     assert len(exts) == GF16_K15_EXTENSION_COUNT
     assert exts[0] == extension_of_vertex(construct_gf16(), 0)
+    assert type(exts[0]) is bytes
+    assert type(extension_of_vertex(construct_gf16(), 0)) is bytes
 
 
 def test_find_extensions_limit():
@@ -86,7 +87,7 @@ def test_extend_with_round_trip():
     restored = extend_with(k15, extension_of_vertex(g, 15))
     assert restored == g
     with pytest.raises(ValueError):
-        extend_with(k15, VertexExtension((Color.BLUE,) * 3))
+        extend_with(k15, bytes([Color.BLUE] * 3))
 
 
 def test_extensions_extend_triangle_free():
@@ -118,9 +119,9 @@ def test_assemble_preconditions():
         assemble(bad, ext, ext)
     with pytest.raises(NotTriangleFreeError):
         # recoloring one spoke breaks the extension
-        broken = list(ext.spoke_colors)
-        broken[0] = Color((broken[0] + 1) % 3)
-        assemble(k15, VertexExtension(tuple(broken)), ext)
+        broken = bytearray(ext)
+        broken[0] = (broken[0] + 1) % 3
+        assemble(k15, bytes(broken), ext)
 
 
 def test_complete_edge_requires_one_open_edge():
@@ -151,9 +152,9 @@ def _manual_assembly(host, ea, eb):
             if j < host.n:
                 domains.append(frozenset({host.color(i, j)}))
             elif j == host.n:
-                domains.append(frozenset({ea.spoke_colors[i]}))
+                domains.append(frozenset({ea[i]}))
             elif i < host.n:
-                domains.append(frozenset({eb.spoke_colors[i]}))
+                domains.append(frozenset({eb[i]}))
             else:
                 domains.append(full)
     return ColoringTemplate(n, tuple(domains))
@@ -173,7 +174,7 @@ def test_overlap_law_with_distinct_extensions():
             rep = complete_edge(t, x)
             overlap = sum(
                 1 for v in range(host.n)
-                if ea.spoke_colors[v] == eb.spoke_colors[v] == x
+                if ea[v] == eb[v] == x
             )
             expected = [0, 0, 0]
             expected[x] = overlap
@@ -197,7 +198,7 @@ def test_twin_k17_counts():
 def test_twin_k17_mono_triangles_match_spoke_class():
     rep = twin_k17(Color.BLUE, deleted_vertex=0)
     ext = extension_of_vertex(construct_gf16(), 0)
-    blue_spokes = {v for v, col in enumerate(ext.spoke_colors) if col == Color.BLUE}
+    blue_spokes = {v for v, col in enumerate(ext) if col == Color.BLUE}
     assert {tri[:3] for tri in rep.census.mono_list} == {
         (v, 15, 16) for v in blue_spokes
     }
@@ -207,12 +208,6 @@ def test_twin_k17_any_deleted_vertex():
     for v in (3, 9):
         rep = twin_k17(Color.RED, deleted_vertex=v)
         assert rep.census.mono == (0, 5, 0)
-
-
-def test_vertex_extension_string_round_trip():
-    ext = VertexExtension.from_string("BRY")
-    assert ext.color_string() == "BRY"
-    assert len(ext) == 3
 
 
 def test_int_domains_act_like_color_domains():

@@ -22,7 +22,7 @@ from math import comb
 
 from .coloring import COLORS, Color, EdgeColoring, edge_index
 from .gf16 import cubic_classes
-from .templates import ColoringTemplate, Coupling, rotate_color
+from .templates import DOMAINS, ColoringTemplate, Coupling, rotate_color
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
 CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
@@ -50,11 +50,11 @@ def cylinder_template() -> ColoringTemplate:
     """
     n = 16
     v = CYLINDER_LABELS.index
-    domains = [frozenset(COLORS)] * comb(n, 2)
+    domains = [DOMAINS[0b111]] * comb(n, 2)
     for group, spoke in zip("ABC", COLORS):
-        block = frozenset(COLORS) - {spoke}
+        block = DOMAINS[0b111 ^ 1 << spoke]
         for i in range(1, 6):
-            domains[edge_index(0, v(f"{group}{i}"), n)] = frozenset({spoke})
+            domains[edge_index(0, v(f"{group}{i}"), n)] = DOMAINS[1 << spoke]
         for i, j in combinations(range(1, 6), 2):
             domains[edge_index(v(f"{group}{i}"), v(f"{group}{j}"), n)] = block
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .coloring import COLORS, Color, EdgeColoring, _make_via_new
+from .coloring import EdgeColoring, _make_via_new
 from .errors import FormatError
-from .templates import ColoringTemplate
+from .templates import DOMAINS, ColoringTemplate
 
 FORMAT_TAG = "coloring/1"
 
@@ -78,11 +78,7 @@ class ColoringDocument(_ColoringDocumentFields):
         return EdgeColoring.from_string(self.n, self.colors)
 
     def to_template(self) -> ColoringTemplate:
-        full = frozenset(COLORS)
-        domains = tuple(
-            full if ch == "?" else frozenset({Color.from_char(ch)})
-            for ch in self.colors
-        )
+        domains = tuple(DOMAINS[0b111 if ch == "?" else 1 << "BRY".index(ch)] for ch in self.colors)
         return ColoringTemplate(self.n, domains)
 
     def to_text(self) -> str:
@@ -153,11 +149,10 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
     if t.couplings:
         raise FormatError("templates with couplings have no document form")
     chars = []
-    full = frozenset(COLORS)
     for o, dom in enumerate(t.domains):
         if len(dom) == 1:
-            chars.append(Color(next(iter(dom))).char)
-        elif dom == full:
+            chars.append(next(iter(dom)).char)
+        elif dom is DOMAINS[0b111]:
             chars.append("?")
         else:
             raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import (
-    COLORS,
     Color,
     EdgeColoring,
     TriangleCensus,
@@ -29,7 +28,7 @@ from .coloring import (
 )
 from .constructions import construct_gf16
 from .errors import NotTriangleFreeError
-from .templates import ColoringTemplate
+from .templates import DOMAINS, ColoringTemplate
 
 
 class AssemblyReport(NamedTuple):
@@ -125,7 +124,7 @@ def assemble(
     # the last ordinal and is then opened to the full domain
     k17 = extend_with(extend_with(k15, ea), bytes(eb) + bytes([Color.BLUE]))
     domains = ColoringTemplate.from_coloring(k17).domains
-    return ColoringTemplate(17, domains[:-1] + (frozenset(COLORS),))
+    return ColoringTemplate(17, domains[:-1] + (DOMAINS[0b111],))
 
 
 def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
@@ -133,12 +132,12 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     if t.couplings:
         raise ValueError("cannot complete a template with couplings")
     opens = t.open_ordinals()
-    if len(opens) != 1 or t.domains[opens[0]] != frozenset(COLORS):
+    if len(opens) != 1 or t.domains[opens[0]] is not DOMAINS[0b111]:
         raise ValueError(
             "template must have exactly one open edge with the full color domain"
         )
     o = opens[0]
-    colors = bytearray(next(iter(dom)) for dom in t.domains)  # Color or plain int
+    colors = bytearray(next(iter(dom)) for dom in t.domains)
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
     cen = census(c)

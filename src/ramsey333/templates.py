@@ -4,6 +4,8 @@ A template generalizes "a complete graph minus some color decisions": every
 edge carries a nonempty domain of allowed colors, and optional couplings tie
 one edge's color to another's through the cyclic shift Blue -> Red -> Yellow
 -> Blue.  A template whose domains are all singletons is exactly a coloring.
+Each domain, whatever container of colors it came in, is stored as one of the
+seven shared frozensets in DOMAINS: templates are immutable and hashable.
 
 solve_template completes a template into triangle-free colorings by
 depth-first backtracking: edges are decided in ordinal order, colors tried
@@ -26,6 +28,21 @@ from .coloring import COLORS, Color, EdgeColoring, _make_via_new, edge_list, tog
 def rotate_color(x: Color, k: int) -> Color:
     """Shift a color k steps along the 3-cycle Blue -> Red -> Yellow -> Blue."""
     return Color((int(x) + k) % 3)
+
+
+# DOMAINS[mask] is the shared set of the colors x with bit x set; MASKS inverts it.
+DOMAINS = (None,) + tuple(frozenset(x for x in COLORS if m >> x & 1) for m in range(1, 8))
+MASKS = {dom: m for m, dom in enumerate(DOMAINS) if dom}
+
+
+def _shared_domain(o: int, dom) -> frozenset[Color]:
+    """The DOMAINS entry equal to dom, any container of Color or int members."""
+    try:  # a frozenset is looked up as it is, with nothing built
+        return DOMAINS[MASKS[dom if type(dom) is frozenset else frozenset(dom)]]
+    except (KeyError, TypeError):
+        if not dom:
+            raise ValueError(f"empty domain at edge ordinal {o}") from None
+        raise ValueError(f"domain at edge ordinal {o} contains non-colors") from None
 
 
 class Coupling(NamedTuple):
@@ -52,12 +69,11 @@ class ColoringTemplate(_ColoringTemplateFields):
         m = comb(n, 2)
         if len(domains) != m:
             raise ValueError(f"need {m} domains for n={n}, got {len(domains)}")
-        for o, dom in enumerate(domains):
-            if not dom:
-                raise ValueError(f"empty domain at edge ordinal {o}")
-            if not dom <= set(COLORS):
-                raise ValueError(f"domain at edge ordinal {o} contains non-colors")
+        domains = tuple(_shared_domain(o, dom) for o, dom in enumerate(domains))
+        couplings = tuple(cp if type(cp) is Coupling else Coupling(*cp) for cp in couplings)
         for cp in couplings:
+            if not type(cp.src) is type(cp.dst) is type(cp.shift) is int:
+                raise ValueError(f"coupling fields must be ints: {cp}")
             if not (0 <= cp.src < m and 0 <= cp.dst < m):
                 raise ValueError(f"coupling ordinal out of range: {cp}")
             if cp.src == cp.dst:
@@ -68,7 +84,7 @@ class ColoringTemplate(_ColoringTemplateFields):
 
     @classmethod
     def from_coloring(cls, c: EdgeColoring) -> "ColoringTemplate":
-        return cls(c.n, tuple(frozenset({Color(b)}) for b in c.colors))
+        return cls(c.n, tuple(DOMAINS[1 << b] for b in c.colors))
 
     def open_ordinals(self) -> list[int]:
         return [o for o, dom in enumerate(self.domains) if len(dom) > 1]
@@ -122,7 +138,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     assigned = bytearray([UNSET]) * m
     rows = [[0] * n for _ in range(3)]  # per-color adjacency over assigned edges
     solutions: list[EdgeColoring] = []
-    domain_masks = [sum(1 << c for c in dom) for dom in t.domains]
+    domain_masks = [MASKS[dom] for dom in t.domains]
 
     def feasible_mask(e: int) -> int:
         """Colors in e's domain that close no triangle under the current rows."""

@@ -146,6 +146,12 @@ def test_template_documents():
         parse(rep_template_text)  # strict coloring parse refuses open edges
 
 
+def test_open_edges_take_all_three_colors_and_templates_write_k3():
+    t = parse_document("coloring/1\nn: 3\nk: 2\ncolors: B?R\n").to_template()
+    assert t.domains[1] == frozenset(Color)
+    assert serialize_template(t) == "coloring/1\nn: 3\nk: 3\ncolors: B?R\n"
+
+
 def _one_open_template():
     full = frozenset(Color)
     domains = (frozenset({Color.BLUE}), frozenset({Color.RED}), full)

@@ -12,12 +12,19 @@ from ramsey333 import (
     ColoringTemplate,
     Coupling,
     EdgeColoring,
+    assemble,
     census,
+    construct_gf16,
     cylinder_template,
+    delete_vertex,
+    extension_of_vertex,
+    parse_document,
     rotate_color,
+    serialize_template,
     solve_template,
     template_violations,
 )
+from ramsey333.templates import DOMAINS, MASKS
 
 FULL = frozenset(Color)
 
@@ -45,6 +52,74 @@ def test_template_validation():
         _template(3, [FULL] * 3, [Coupling(0, 5, 1)])
     with pytest.raises(ValueError):
         _template(3, [FULL] * 3, [Coupling(0, 1, 7)])
+
+
+def test_any_container_of_colors_gives_a_hashable_template():
+    t = ColoringTemplate(3, [{0}, {1}, {0, 1, 2}])
+    expected = _template(3, [[Color.BLUE], [Color.RED], FULL])
+    assert t == expected
+    assert hash(t) == hash(expected)
+    assert ColoringTemplate(3, [[0], (Color.RED,), range(3)]) == expected
+
+
+def test_caller_mutation_does_not_reach_the_template():
+    d = [{0}, {1}, {0, 1, 2}]
+    t = ColoringTemplate(3, d)
+    before = solve_template(t, limit=10)
+    # were these seen, BBR and BBY would be new solutions and BRB would go
+    d[0].add(5)
+    d[1].add(0)
+    d[2].discard(0)
+    assert t.domains == (frozenset({Color.BLUE}), frozenset({Color.RED}), FULL)
+    assert solve_template(t, limit=10) == before
+
+
+@pytest.mark.parametrize("dom, message", [
+    ("B", "non-colors"),
+    ({3}, "non-colors"),
+    ([[0]], "non-colors"),
+    (5, "non-colors"),
+    ("", "empty domain"),
+    ([], "empty domain"),
+    (set(), "empty domain"),
+])
+def test_bad_domains_raise_value_error(dom, message):
+    with pytest.raises(ValueError, match=message):
+        ColoringTemplate(2, [dom])
+
+
+def test_couplings_are_normalised():
+    coupled = _template(3, [FULL] * 3, [Coupling(0, 1, 1), Coupling(0, 2, 2)])
+    plain = ColoringTemplate(3, [FULL] * 3, [(0, 1, 1), [0, 2, 2]])
+    assert plain == coupled
+    assert all(type(cp) is Coupling for cp in plain.couplings)
+    hash(ColoringTemplate(3, [FULL] * 3, [Coupling(0, 1, 1)]))  # from a list of couplings
+    assert solve_template(plain, limit=30) == solve_template(coupled, limit=30)
+    for bad in (Coupling(0.0, 1, 1), (0, 1.0, 1), (0, 1, "1")):
+        with pytest.raises(ValueError, match="must be ints"):
+            ColoringTemplate(3, [FULL] * 3, [bad])
+
+
+def test_domains_are_the_seven_shared_sets():
+    assert DOMAINS[0] is None
+    for mask in range(1, 8):
+        dom = DOMAINS[mask]
+        assert MASKS[dom] == mask
+        assert all(type(x) is Color for x in dom)
+        assert dom == {x for x in Color if mask >> x & 1}
+    shared = {id(dom) for dom in DOMAINS[1:]}
+    g = construct_gf16()
+    k15, ext = delete_vertex(g, 0), extension_of_vertex(g, 0)
+    open17 = assemble(k15, ext, ext)
+    templates = [
+        ColoringTemplate.from_coloring(g),
+        open17,
+        cylinder_template(),
+        parse_document(serialize_template(open17)).to_template(),
+        ColoringTemplate(3, [{0}, [1, 2], {Color.RED, 2, 0}]),
+    ]
+    for t in templates:
+        assert {id(dom) for dom in t.domains} <= shared
 
 
 def test_singleton_template_is_its_own_solution():

@@ -11,8 +11,8 @@ The pieces:
 
 - `coloring`: edge colorings, the brute-force triangle census (the oracle),
   and the bit-parallel fast path.
-- `gf16`: GF(16) arithmetic and the sum-free cubic-residue classes.
-- `constructions`: the finite-field coloring and the cylinder rules.
+- `constructions`: the finite-field coloring from the sum-free cubic-residue
+  classes of GF(16), and the cylinder rules.
 - `templates`: partial colorings and the triangle-free completion solver.
 - `synthesis`: vertex deletion/extension and the 17-vertex assembly.
 - `search`: restart hill climbing plus exhaustive minima for tiny instances.
@@ -35,10 +35,9 @@ from .coloring import (
     permute_colors,
     permute_vertices,
 )
-from .constructions import CYLINDER_LABELS, construct_gf16, cylinder_template, sigma
+from .constructions import CYLINDER_LABELS, construct_gf16, cubic_classes, cylinder_template, sigma
 from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
-from .gf16 import cubic_classes
 from .search import (
     SearchParams,
     SearchResult,

@@ -1,9 +1,14 @@
 """The two triangle-free 16-vertex colorings.
 
-`construct_gf16` is the finite-field recipe: vertices are the 16 field
-elements, and edge {u, w} takes the color of the cubic-residue class that
-contains u XOR w.  Sum-freeness of the classes makes the result
-triangle-free; the output is deterministic and bit-identical across runs.
+`construct_gf16` is the finite-field recipe.  The 16 elements of GF(16) are
+ints 0..15 read as polynomials over GF(2) in the basis 1, x, x^2, x^3, with
+x^4 = x + 1; addition is XOR, and x (0b0010) generates the 15 nonzero
+elements.  The three cosets of the cubes {x^(3k)} split them into classes
+of five.  Each class S is sum-free (a, b in S implies a XOR b not in S), so
+coloring edge {u, w} by the class of u XOR w leaves no monochromatic
+triangle: the three differences of any vertex triple XOR to zero, and a
+class never contains both a pair and its sum.  The output is deterministic
+and bit-identical across runs.
 
 The cylinder coloring is defined by structural rules rather than an explicit
 edge list: a hub vertex O with blue, red, yellow spokes to the three blocks
@@ -17,11 +22,11 @@ fixed search order is the canonical one).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
 from .coloring import COLORS, Color, EdgeColoring, edge_index
-from .gf16 import cubic_classes
 from .templates import DOMAINS, ColoringTemplate, Coupling, rotate_color
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
@@ -31,6 +36,18 @@ CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
 def sigma(x: Color) -> Color:
     """The cyclic color shift Red -> Yellow -> Blue -> Red; sigma^3 = identity."""
     return rotate_color(x, 1)
+
+
+@lru_cache(maxsize=1)
+def cubic_classes() -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The 3 cubic-residue cosets: class j = {x^(3k+j) : k = 0..4}."""
+    powers, a = [], 1
+    for _ in range(15):
+        powers.append(a)
+        a <<= 1
+        if a & 0b10000:
+            a ^= 0b10011  # x^4 = x + 1
+    return tuple(frozenset(powers[j::3]) for j in range(3))
 
 
 def construct_gf16() -> EdgeColoring:

@@ -130,11 +130,9 @@ def parse_document(text: str) -> ColoringDocument:
     for required in ("n", "k", "colors"):
         if required not in fields:
             raise FormatError(f"missing field: {required}")
-    try:
-        n = int(fields["n"])
-        k = int(fields["k"])
-    except ValueError:
-        raise FormatError("n and k must be integers") from None
+    if not all(fields[f].isascii() and fields[f].isdigit() for f in ("n", "k")):
+        raise FormatError("n and k must be integers")
+    n, k = int(fields["n"]), int(fields["k"])
     meta = {key[len("meta.") :]: v for key, v in fields.items() if key.startswith("meta.")}
     return ColoringDocument(n, k, fields["colors"], meta)
 

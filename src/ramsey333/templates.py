@@ -66,6 +66,8 @@ class ColoringTemplate(_ColoringTemplateFields):
     _make = classmethod(_make_via_new)
 
     def __new__(cls, n, domains, couplings=()):
+        if n < 1:
+            raise ValueError("vertex count must be at least 1")
         m = comb(n, 2)
         if len(domains) != m:
             raise ValueError(f"need {m} domains for n={n}, got {len(domains)}")

@@ -1,7 +1,5 @@
 """The public API: exactly these names, and each one resolves."""
 
-import importlib
-
 import ramsey333
 
 PUBLIC_NAMES = [
@@ -18,11 +16,6 @@ PUBLIC_NAMES = [
     "solve_template", "template_violations", "twin_k17",
 ]
 
-# Importable from their modules, not re-exported by the package.
-SUBMODULE_NAMES = {
-    "gf16": ["GENERATOR", "REDUCTION_POLY", "gf16_mul", "gf16_pow"],
-}
-
 
 def test_public_names_are_pinned():
     assert sorted(ramsey333.__all__) == PUBLIC_NAMES
@@ -34,10 +27,3 @@ def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert namespace[name] is getattr(ramsey333, name)
 
-
-def test_submodule_names_stay_out_of_the_package_namespace():
-    for module, names in SUBMODULE_NAMES.items():
-        mod = importlib.import_module(f"ramsey333.{module}")
-        for name in names:
-            assert hasattr(mod, name)
-            assert name not in ramsey333.__all__

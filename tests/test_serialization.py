@@ -68,6 +68,9 @@ def test_parse_rejects_bad_documents():
         "coloring/1\nn: 3\nk: 2\ncolors: BRY\n",  # Y not allowed at k=2
         "coloring/1\nn: 3\nk: 4\ncolors: BRY\n",  # bad k
         "coloring/1\nn: x\nk: 3\ncolors: BRY\n",  # non-integer n
+        "coloring/1\nn: 0_3\nk: 3\ncolors: BRY\n",  # digit grouping
+        "coloring/1\nn: +3\nk: 3\ncolors: BRY\n",  # sign
+        "coloring/1\nn: \u0663\nk: 3\ncolors: BRY\n",  # Arabic-Indic digit three
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nn: 3\n",  # duplicate field
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nbogus: 1\n",  # unknown field
         "coloring/1\nn: 3\nk: 3\n",  # missing colors

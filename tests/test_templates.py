@@ -52,6 +52,10 @@ def test_template_validation():
         _template(3, [FULL] * 3, [Coupling(0, 5, 1)])
     with pytest.raises(ValueError):
         _template(3, [FULL] * 3, [Coupling(0, 1, 7)])
+    with pytest.raises(ValueError):
+        _template(0, [])  # no vertices
+    with pytest.raises(ValueError):
+        _template(-1, [])
 
 
 def test_any_container_of_colors_gives_a_hashable_template():

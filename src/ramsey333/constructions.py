@@ -27,7 +27,7 @@ from itertools import combinations, product
 from math import comb
 
 from .coloring import COLORS, Color, EdgeColoring, edge_index
-from .templates import DOMAINS, ColoringTemplate, Coupling, rotate_color
+from .templates import FULL, ColoringTemplate, Coupling, rotate_color
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
 CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
@@ -67,13 +67,12 @@ def cylinder_template() -> ColoringTemplate:
     """
     n = 16
     v = CYLINDER_LABELS.index
-    domains = [DOMAINS[0b111]] * comb(n, 2)
+    domains = bytearray([FULL]) * comb(n, 2)
     for group, spoke in zip("ABC", COLORS):
-        block = DOMAINS[0b111 ^ 1 << spoke]
         for i in range(1, 6):
-            domains[edge_index(0, v(f"{group}{i}"), n)] = DOMAINS[1 << spoke]
+            domains[edge_index(0, v(f"{group}{i}"), n)] = 1 << spoke
         for i, j in combinations(range(1, 6), 2):
-            domains[edge_index(v(f"{group}{i}"), v(f"{group}{j}"), n)] = block
+            domains[edge_index(v(f"{group}{i}"), v(f"{group}{j}"), n)] = FULL ^ 1 << spoke
 
     couplings = []
     for i, j in product(range(1, 6), repeat=2):
@@ -83,4 +82,4 @@ def cylinder_template() -> ColoringTemplate:
         couplings.append(Coupling(src=ab, dst=bc, shift=1))
         couplings.append(Coupling(src=ab, dst=ca, shift=2))
 
-    return ColoringTemplate(n, tuple(domains), tuple(couplings))
+    return ColoringTemplate(n, domains, tuple(couplings))

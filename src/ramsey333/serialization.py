@@ -25,9 +25,11 @@ from typing import NamedTuple
 
 from .coloring import EdgeColoring, _make_via_new
 from .errors import FormatError
-from .templates import DOMAINS, ColoringTemplate
+from .templates import ColoringTemplate
 
 FORMAT_TAG = "coloring/1"
+# Document character of each template domain mask: a color, '?' for all three, '.' for none.
+_MASK_CHARS = ".BR.Y..?"
 
 
 def _one_line(s: str) -> bool:
@@ -78,8 +80,7 @@ class ColoringDocument(_ColoringDocumentFields):
         return EdgeColoring.from_string(self.n, self.colors)
 
     def to_template(self) -> ColoringTemplate:
-        domains = tuple(DOMAINS[0b111 if ch == "?" else 1 << "BRY".index(ch)] for ch in self.colors)
-        return ColoringTemplate(self.n, domains)
+        return ColoringTemplate(self.n, bytes(map(_MASK_CHARS.index, self.colors)))
 
     def to_text(self) -> str:
         lines = [
@@ -130,11 +131,11 @@ def parse_document(text: str) -> ColoringDocument:
     for required in ("n", "k", "colors"):
         if required not in fields:
             raise FormatError(f"missing field: {required}")
-    if not all(fields[f].isascii() and fields[f].isdigit() for f in ("n", "k")):
-        raise FormatError("n and k must be integers")
-    n, k = int(fields["n"]), int(fields["k"])
+    n, k = fields["n"], fields["k"]
+    if not all(v.isascii() and v.isdigit() and str(int(v)) == v for v in (n, k)):
+        raise FormatError("n and k must be integers")  # no leading zero: 03 would write back as 3
     meta = {key[len("meta.") :]: v for key, v in fields.items() if key.startswith("meta.")}
-    return ColoringDocument(n, k, fields["colors"], meta)
+    return ColoringDocument(int(n), int(k), fields["colors"], meta)
 
 
 def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) -> str:
@@ -146,13 +147,8 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
     """
     if t.couplings:
         raise FormatError("templates with couplings have no document form")
-    chars = []
-    for o, dom in enumerate(t.domains):
-        if len(dom) == 1:
-            chars.append(next(iter(dom)).char)
-        elif dom is DOMAINS[0b111]:
-            chars.append("?")
-        else:
-            raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")
-    doc = ColoringDocument(t.n, 3, "".join(chars), dict(meta or {}))
+    chars = "".join(_MASK_CHARS[d] for d in t.domains)
+    if (o := chars.find(".")) >= 0:
+        raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")
+    doc = ColoringDocument(t.n, 3, chars, dict(meta or {}))
     return doc.to_text()

@@ -28,7 +28,7 @@ from .coloring import (
 )
 from .constructions import construct_gf16
 from .errors import NotTriangleFreeError
-from .templates import DOMAINS, ColoringTemplate
+from .templates import FULL, ColoringTemplate
 
 
 class AssemblyReport(NamedTuple):
@@ -124,7 +124,7 @@ def assemble(
     # the last ordinal and is then opened to the full domain
     k17 = extend_with(extend_with(k15, ea), bytes(eb) + bytes([Color.BLUE]))
     domains = ColoringTemplate.from_coloring(k17).domains
-    return ColoringTemplate(17, domains[:-1] + (DOMAINS[0b111],))
+    return ColoringTemplate(17, domains[:-1] + bytes([FULL]))
 
 
 def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
@@ -132,12 +132,12 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     if t.couplings:
         raise ValueError("cannot complete a template with couplings")
     opens = t.open_ordinals()
-    if len(opens) != 1 or t.domains[opens[0]] is not DOMAINS[0b111]:
+    if len(opens) != 1 or t.domains[opens[0]] != FULL:
         raise ValueError(
             "template must have exactly one open edge with the full color domain"
         )
     o = opens[0]
-    colors = bytearray(next(iter(dom)) for dom in t.domains)
+    colors = bytearray(d.bit_length() - 1 for d in t.domains)  # singleton mask -> color
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
     cen = census(c)

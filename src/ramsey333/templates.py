@@ -4,17 +4,17 @@ A template generalizes "a complete graph minus some color decisions": every
 edge carries a nonempty domain of allowed colors, and optional couplings tie
 one edge's color to another's through the cyclic shift Blue -> Red -> Yellow
 -> Blue.  A template whose domains are all singletons is exactly a coloring.
-Each domain, whatever container of colors it came in, is stored as one of the
-seven shared frozensets in DOMAINS: templates are immutable and hashable.
+Domains are 3-bit color masks held in one `bytes`, like `EdgeColoring.colors`:
+bit x set means color x is allowed, so FULL = 0b111 leaves an edge open.
 
 solve_template completes a template into triangle-free colorings by
 depth-first backtracking: edges are decided in ordinal order, colors tried
 in order B < R < Y, coupled edges forced immediately, and any assignment
-that closes a monochromatic triangle is pruned.  After each assignment a
-forward check (Haralick & Elliott, 1980) looks at the undecided edges at the
-vertices it touched and backtracks as soon as one has no usable color left.
-The search order is fixed, so the first solution is canonical and
-reproducible.
+that closes a monochromatic triangle or gives a vertex a sixth edge of one
+color is pruned.  After each assignment a forward check (Haralick & Elliott,
+1980) looks at the undecided edges at the vertices it touched and backtracks
+as soon as one has no usable color left.  The search order is fixed, so the
+first solution is canonical and reproducible.
 """
 
 from __future__ import annotations
@@ -22,27 +22,14 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .coloring import COLORS, Color, EdgeColoring, _make_via_new, edge_list, toggle
+from .coloring import Color, EdgeColoring, _make_via_new, edge_list, toggle
+
+FULL = 0b111  # the domain mask that allows every color
 
 
 def rotate_color(x: Color, k: int) -> Color:
     """Shift a color k steps along the 3-cycle Blue -> Red -> Yellow -> Blue."""
     return Color((int(x) + k) % 3)
-
-
-# DOMAINS[mask] is the shared set of the colors x with bit x set; MASKS inverts it.
-DOMAINS = (None,) + tuple(frozenset(x for x in COLORS if m >> x & 1) for m in range(1, 8))
-MASKS = {dom: m for m, dom in enumerate(DOMAINS) if dom}
-
-
-def _shared_domain(o: int, dom) -> frozenset[Color]:
-    """The DOMAINS entry equal to dom, any container of Color or int members."""
-    try:  # a frozenset is looked up as it is, with nothing built
-        return DOMAINS[MASKS[dom if type(dom) is frozenset else frozenset(dom)]]
-    except (KeyError, TypeError):
-        if not dom:
-            raise ValueError(f"empty domain at edge ordinal {o}") from None
-        raise ValueError(f"domain at edge ordinal {o} contains non-colors") from None
 
 
 class Coupling(NamedTuple):
@@ -55,12 +42,12 @@ class Coupling(NamedTuple):
 
 class _ColoringTemplateFields(NamedTuple):
     n: int
-    domains: tuple[frozenset[Color], ...]
+    domains: bytes
     couplings: tuple[Coupling, ...]
 
 
 class ColoringTemplate(_ColoringTemplateFields):
-    """Partial coloring of K_n: one nonempty domain per edge ordinal."""
+    """Partial coloring of K_n: one color mask, 1 to 7, per edge ordinal."""
 
     __slots__ = ()
     _make = classmethod(_make_via_new)
@@ -68,10 +55,15 @@ class ColoringTemplate(_ColoringTemplateFields):
     def __new__(cls, n, domains, couplings=()):
         if n < 1:
             raise ValueError("vertex count must be at least 1")
+        if isinstance(domains, int):  # bytes(3) would be three empty domains
+            raise TypeError("domains must be a sequence of color masks, not an int")
+        domains = bytes(domains)  # a bytearray would be unhashable
         m = comb(n, 2)
         if len(domains) != m:
             raise ValueError(f"need {m} domains for n={n}, got {len(domains)}")
-        domains = tuple(_shared_domain(o, dom) for o, dom in enumerate(domains))
+        if bad := domains.translate(None, b"\x01\x02\x03\x04\x05\x06\x07"):
+            o = domains.index(bad[0])
+            raise ValueError(f"domain at edge ordinal {o} must be a color mask 1-7, got {bad[0]}")
         couplings = tuple(cp if type(cp) is Coupling else Coupling(*cp) for cp in couplings)
         for cp in couplings:
             if not type(cp.src) is type(cp.dst) is type(cp.shift) is int:
@@ -86,10 +78,10 @@ class ColoringTemplate(_ColoringTemplateFields):
 
     @classmethod
     def from_coloring(cls, c: EdgeColoring) -> "ColoringTemplate":
-        return cls(c.n, tuple(DOMAINS[1 << b] for b in c.colors))
+        return cls(c.n, bytes(1 << b for b in c.colors))
 
     def open_ordinals(self) -> list[int]:
-        return [o for o, dom in enumerate(self.domains) if len(dom) > 1]
+        return [o for o, d in enumerate(self.domains) if d & (d - 1)]  # two or more bits
 
 
 def template_violations(t: ColoringTemplate, c: EdgeColoring) -> list[str]:
@@ -102,8 +94,8 @@ def template_violations(t: ColoringTemplate, c: EdgeColoring) -> list[str]:
     if c.n != t.n:
         return [f"vertex count mismatch: template n={t.n}, coloring n={c.n}"]
     msgs = []
-    for o, dom in enumerate(t.domains):
-        if Color(c.colors[o]) not in dom:
+    for o, d in enumerate(t.domains):
+        if not d >> c.colors[o] & 1:
             i, j = edge_list(t.n)[o]
             msgs.append(f"edge ({i},{j}) colored {Color(c.colors[o]).char} outside domain")
     for cp in t.couplings:
@@ -140,14 +132,19 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     assigned = bytearray([UNSET]) * m
     rows = [[0] * n for _ in range(3)]  # per-color adjacency over assigned edges
     solutions: list[EdgeColoring] = []
-    domain_masks = [MASKS[dom] for dom in t.domains]
+    domains = t.domains
 
     def feasible_mask(e: int) -> int:
-        """Colors in e's domain that close no triangle under the current rows."""
+        """Colors in e's domain that close no triangle and give no end a sixth edge of one color.
+
+        Sound: the x-neighbors of a vertex span no x-edge, so R(3,3) = 6 allows at most 5 of them.
+        """
         i, j = edges[e]
         b, r, y = rows
-        return domain_masks[e] & (
-            (not b[i] & b[j]) | (not r[i] & r[j]) << 1 | (not y[i] & y[j]) << 2
+        return domains[e] & (
+            (not (b[i] & b[j] or b[i].bit_count() > 4 or b[j].bit_count() > 4))
+            | (not (r[i] & r[j] or r[i].bit_count() > 4 or r[j].bit_count() > 4)) << 1
+            | (not (y[i] & y[j] or y[i].bit_count() > 4 or y[j].bit_count() > 4)) << 2
         )
 
     def assign_with_couplings(o: int, x: int, trail: list[int]) -> bool:
@@ -160,7 +157,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
                     return False
                 continue
             if not feasible_mask(e) >> cx & 1:
-                return False  # outside the domain, or closes a monochromatic triangle
+                return False  # outside the domain, closes a triangle, or over the cap
             assigned[e] = cx
             toggle(rows, *edges[e], cx)
             trail.append(e)
@@ -184,9 +181,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
         if o == m:
             solutions.append(EdgeColoring(n, bytes(assigned)))
             return len(solutions) >= limit
-        for x in (0, 1, 2):
-            if x not in t.domains[o]:
-                continue
+        for x in (0, 1, 2):  # a color outside o's domain fails in feasible_mask
             trail: list[int] = []
             if assign_with_couplings(o, x, trail):
                 if dfs(o + 1):

@@ -2,13 +2,18 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from ramsey333 import parse_document
+from ramsey333 import construct_gf16, delete_vertex, extension_of_vertex, parse_document, serialize
 from ramsey333.cli import main
 
 ALL_BLUE_K3 = "coloring/1\nn: 3\nk: 2\ncolors: BBB\n"
+
+
+def _gf16_k15_document():
+    return serialize(delete_vertex(construct_gf16(), 0), k=3)
 
 
 def run(argv, stdin="", monkeypatch=None, capsys=None):
@@ -37,6 +42,13 @@ def test_construct_cylinder(monkeypatch, capsys):
     assert out.strip() == "(0,0,0)"
 
 
+def test_construct_cylinder_matches_golden(capsys):
+    # the document the console script must reproduce byte for byte
+    code, doc, _ = run(["construct", "--method", "cylinder"], capsys=capsys)
+    assert code == 0
+    assert doc == (Path(__file__).parent / "golden" / "cylinder_k16.txt").read_text()
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = run(["verify", "--expect-mono", "0,0,0"], stdin=ALL_BLUE_K3,
                        monkeypatch=monkeypatch, capsys=capsys)
@@ -62,6 +74,48 @@ def test_count_list_and_json(monkeypatch, capsys):
     assert payload["mono_triangles"] == [{"vertices": [0, 1, 2], "color": "B"}]
 
 
+def test_count_human_output_and_list(monkeypatch, capsys):
+    code, out, _ = run(["count"], stdin=ALL_BLUE_K3, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out == "n: 3\nmono: B=1 R=0 Y=0 total=1\nbichromatic: 0\nrainbow: 0\n"
+    code, listed, _ = run(["count", "--list"], stdin=ALL_BLUE_K3,
+                          monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert listed == out + "0 1 2 B\n"
+
+
+def test_verify_json(monkeypatch, capsys):
+    code, out, _ = run(["verify", "--json", "--expect-mono", "1,0,0"], stdin=ALL_BLUE_K3,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"mono": [1, 0, 0], "expected": [1, 0, 0], "ok": True}
+    code, out, _ = run(["verify", "--json"], stdin=ALL_BLUE_K3,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert json.loads(out) == {"mono": [1, 0, 0], "expected": [0, 0, 0], "ok": False}
+
+
+@pytest.mark.parametrize("triple, message", [
+    ("1,2", "three comma-separated counts"),
+    ("a,b,c", "counts must be integers"),
+])
+def test_bad_expect_mono_exit_code(monkeypatch, capsys, triple, message):
+    code, out, err = run(["verify", "--expect-mono", triple], stdin=ALL_BLUE_K3,
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_extend_json(monkeypatch, capsys):
+    code, out, _ = run(["extend", "--json"], stdin=_gf16_k15_document(),
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    spokes = extension_of_vertex(construct_gf16(), 0)
+    assert payload == {"count": 1, "extensions": ["".join("BRY"[x] for x in spokes)]}
+
+
 def test_malformed_document_exit_code(monkeypatch, capsys):
     code, _, err = run(["count"], stdin="coloring/1\nn: 3\nk: 3\ncolors: B\n",
                        monkeypatch=monkeypatch, capsys=capsys)
@@ -80,6 +134,21 @@ def test_exhaustive_json(capsys):
     code, out, _ = run(["exhaustive", "--n", "6", "--k", "2", "--json"], capsys=capsys)
     assert code == 0
     assert json.loads(out)["minimum"] == 2
+
+
+def test_exhaustive_human_output_and_out(tmp_path, capsys):
+    code, out, _ = run(["exhaustive", "--n", "5", "--k", "2"], capsys=capsys)
+    assert code == 0
+    assert out == "minimum: 0\n"
+    witness = tmp_path / "witness.txt"
+    code, out, _ = run(["exhaustive", "--n", "5", "--k", "2", "--out", str(witness)],
+                       capsys=capsys)
+    assert code == 0
+    assert out == "minimum: 0\n"
+    assert parse_document(witness.read_text()).meta == {"method": "exhaustive", "k": "2"}
+    code, out, _ = run(["verify", str(witness), "--expect-mono", "0,0,0"], capsys=capsys)
+    assert code == 0
+    assert "OK" in out
 
 
 def test_extend_on_triangled_host_exit_code(monkeypatch, capsys):
@@ -119,6 +188,19 @@ def test_full_assembly_pipeline(tmp_path, capsys):
     code = main(["verify", str(out17), "--expect-mono", "0,0,5"])
     out, _ = capsys.readouterr()
     assert code == 0
+
+
+def test_assemble_refuses_a_two_line_extension_file(tmp_path, capsys):
+    k15 = tmp_path / "k15.txt"
+    ext = tmp_path / "ext.txt"
+    k15.write_text(_gf16_k15_document())
+    line = "".join("BRY"[x] for x in extension_of_vertex(construct_gf16(), 0))
+    ext.write_text(line + "\n" + line + "\n")
+    code, out, err = run(["assemble", "--base", str(k15), "--ext-a", str(ext),
+                          "--ext-b", str(ext)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "exactly one spoke string, got 2 lines" in err
 
 
 def test_complete_json(tmp_path, capsys):

@@ -175,6 +175,8 @@ def test_delete_vertex_basics():
     assert k15.n == 15 and census(k15).mono == (0, 0, 0)
     with pytest.raises(ValueError):
         delete_vertex(ALL_B_K3, 3)
+    with pytest.raises(ValueError, match="K_1"):
+        delete_vertex(EdgeColoring(1, b""), 0)
 
 
 def test_delete_vertex_never_increases_mono():
@@ -215,3 +217,6 @@ def test_recolored():
     c = ALL_B_K3.recolored(1, Color.RED)
     assert c.color_string() == "BRB"
     assert ALL_B_K3.color_string() == "BBB"  # original untouched
+    for ordinal in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            ALL_B_K3.recolored(ordinal, Color.RED)

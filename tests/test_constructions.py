@@ -72,14 +72,15 @@ def test_cylinder_labels():
 def test_cylinder_template_domains():
     t = cylinder_template()
     v = CYLINDER_LABELS.index
-    assert t.domains[edge_index(0, v("A3"), 16)] == frozenset({Color.BLUE})
-    assert t.domains[edge_index(0, v("B2"), 16)] == frozenset({Color.RED})
-    assert t.domains[edge_index(0, v("C5"), 16)] == frozenset({Color.YELLOW})
-    assert t.domains[edge_index(v("A1"), v("A2"), 16)] == frozenset({Color.RED, Color.YELLOW})
-    assert t.domains[edge_index(v("B1"), v("B4"), 16)] == frozenset({Color.YELLOW, Color.BLUE})
-    assert t.domains[edge_index(v("C3"), v("C4"), 16)] == frozenset({Color.BLUE, Color.RED})
+    # bit x of a domain mask allows color x: B = 0b001, R = 0b010, Y = 0b100
+    assert t.domains[edge_index(0, v("A3"), 16)] == 0b001
+    assert t.domains[edge_index(0, v("B2"), 16)] == 0b010
+    assert t.domains[edge_index(0, v("C5"), 16)] == 0b100
+    assert t.domains[edge_index(v("A1"), v("A2"), 16)] == 0b110  # red or yellow
+    assert t.domains[edge_index(v("B1"), v("B4"), 16)] == 0b101  # yellow or blue
+    assert t.domains[edge_index(v("C3"), v("C4"), 16)] == 0b011  # blue or red
     # cross edges keep the full domain; their colors come from couplings
-    assert t.domains[edge_index(v("A1"), v("B2"), 16)] == frozenset(Color)
+    assert t.domains[edge_index(v("A1"), v("B2"), 16)] == 0b111
 
 
 def test_cylinder_template_couplings_cover_all_cross_triples():

@@ -19,7 +19,7 @@ from ramsey333 import (
     census,
 )
 
-B, R, Y = Color.BLUE, Color.RED, Color.YELLOW
+B = Color.BLUE
 
 
 def _coloring():
@@ -57,8 +57,8 @@ RECORDS = {
         "shift",
     ),
     "ColoringTemplate": (
-        lambda: ColoringTemplate(2, (frozenset({R}),)),
-        "ColoringTemplate(n=2, domains=(frozenset({<Color.RED: 1>}),), couplings=())",
+        lambda: ColoringTemplate(2, b"\x02"),
+        r"ColoringTemplate(n=2, domains=b'\x02', couplings=())",
         "domains",
     ),
     "AssemblyReport": (
@@ -105,15 +105,16 @@ BAD_INPUTS = [
     (SearchParams, (5, 2, 1, 0), {"n": 5, "k": 2, "seed": 1, "restarts": 0},
      ValueError, "must be positive"),
     (ColoringTemplate, (3, ()), {"n": 3, "domains": ()}, ValueError, "need 3 domains"),
-    (ColoringTemplate, (2, (frozenset(),)), {"n": 2, "domains": (frozenset(),)},
-     ValueError, "empty domain"),
-    (ColoringTemplate, (2, (frozenset({B}),), (Coupling(0, 0, 1),)),
-     {"n": 2, "domains": (frozenset({B}),), "couplings": (Coupling(0, 0, 1),)},
+    (ColoringTemplate, (2, b"\x00"), {"n": 2, "domains": b"\x00"}, ValueError, "mask 1-7, got 0"),
+    (ColoringTemplate, (2, b"\x01", (Coupling(0, 0, 1),)),
+     {"n": 2, "domains": b"\x01", "couplings": (Coupling(0, 0, 1),)},
      ValueError, "to itself"),
     (ColoringDocument, (2, 4, "B"), {"n": 2, "k": 4, "colors": "B"}, FormatError, "k must be"),
     (ColoringDocument, (2, 2, "Y"), {"n": 2, "k": 2, "colors": "Y"}, FormatError, "outside"),
     (ColoringDocument, (2, 2, "B", {"a b": "c"}),
      {"n": 2, "k": 2, "colors": "B", "meta": {"a b": "c"}}, FormatError, "bad meta key"),
+    (SearchParams, (0, 2, 1), {"n": 0, "k": 2, "seed": 1}, ValueError, "n must be positive"),
+    (ColoringTemplate, (2, 1), {"n": 2, "domains": 1}, TypeError, "not an int"),
 ]
 
 
@@ -139,7 +140,7 @@ def test_replace_goes_through_the_checks():
     with pytest.raises(ValueError, match="k must be 2 or 3"):
         SearchParams(n=5, k=2, seed=1)._replace(k=4)
     with pytest.raises(ValueError, match="to itself"):
-        ColoringTemplate(2, (frozenset({B}),))._replace(couplings=(Coupling(0, 0, 1),))
+        ColoringTemplate(2, b"\x01")._replace(couplings=(Coupling(0, 0, 1),))
     with pytest.raises(FormatError, match="k must be"):
         ColoringDocument(2, 2, "B")._replace(k=4)
     assert SearchParams(n=5, k=2, seed=1)._replace(seed=2) == SearchParams(n=5, k=2, seed=2)

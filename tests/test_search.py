@@ -114,6 +114,9 @@ GOLDEN_TRAJECTORIES = [
      "c30138bbb25c21b6198192364efa847e6394f5f483dfe1785f39f459df187145"),
     (SearchParams(n=40, k=2, seed=9, restarts=1, steps_per_restart=2000, sideways_limit=400),
      "bcb98d34ca9399400d47196b5b15765a877447de07b10c991dd5cff36475d69d"),
+    # K_1 has no edge: every restart returns at once with count 0 and no evaluation
+    (SearchParams(n=1, k=3, seed=1, restarts=2),
+     "23dffed843b35a22439e8d78cdf0d62b1350945646465bc3e4d8fe41052fb24f"),
 ]
 
 
@@ -163,6 +166,17 @@ def test_search_params_validation():
         SearchParams(n=5, k=3, seed=1, sideways_limit=-2)
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (random_coloring, (0, 3, 1), "n must be positive"),
+    (random_coloring, (3, 4, 1), "k must be 2 or 3"),
+    (exhaustive_min, (0, 2), "n must be positive"),
+    (exhaustive_min, (3, 4), "k must be 2 or 3"),
+])
+def test_bad_sizes_and_color_counts_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
 def test_exhaustive_min_small_values():
     assert exhaustive_min(5, 2)[0] == 0
     assert exhaustive_min(6, 2)[0] == 2
@@ -204,6 +218,9 @@ def test_exhaustive_budget_env_override(monkeypatch):
     assert exhaustive_min(3, 2)[0] == 0
     monkeypatch.setenv(STATE_BUDGET_ENV, "bogus")
     with pytest.raises(BudgetError):
+        exhaustive_min(3, 2)
+    monkeypatch.setenv(STATE_BUDGET_ENV, "0")
+    with pytest.raises(BudgetError, match="must be positive"):
         exhaustive_min(3, 2)
 
 

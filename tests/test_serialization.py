@@ -22,7 +22,7 @@ from ramsey333 import (
     serialize_template,
     twin_k17,
 )
-from ramsey333.templates import ColoringTemplate
+from ramsey333.templates import ColoringTemplate, Coupling
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,6 +71,10 @@ def test_parse_rejects_bad_documents():
         "coloring/1\nn: 0_3\nk: 3\ncolors: BRY\n",  # digit grouping
         "coloring/1\nn: +3\nk: 3\ncolors: BRY\n",  # sign
         "coloring/1\nn: \u0663\nk: 3\ncolors: BRY\n",  # Arabic-Indic digit three
+        "coloring/1\nn: 03\nk: 3\ncolors: BRY\n",  # leading zero: 03 would write back as 3
+        "coloring/1\nn: 3\nk: 03\ncolors: BRY\n",  # leading zero in k
+        "coloring/1\nn: 0\nk: 3\ncolors: \n",  # no vertices
+        "coloring/1\nn: 3\nk: 3\ncolors: BRY\nbogus\n",  # a line with no ':'
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nn: 3\n",  # duplicate field
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nbogus: 1\n",  # unknown field
         "coloring/1\nn: 3\nk: 3\n",  # missing colors
@@ -151,21 +155,21 @@ def test_template_documents():
 
 def test_open_edges_take_all_three_colors_and_templates_write_k3():
     t = parse_document("coloring/1\nn: 3\nk: 2\ncolors: B?R\n").to_template()
-    assert t.domains[1] == frozenset(Color)
+    assert t.domains == b"\x01\x07\x02"  # B, all three colors, R
     assert serialize_template(t) == "coloring/1\nn: 3\nk: 3\ncolors: B?R\n"
 
 
 def _one_open_template():
-    full = frozenset(Color)
-    domains = (frozenset({Color.BLUE}), frozenset({Color.RED}), full)
-    return ColoringTemplate(3, domains)
+    return ColoringTemplate(3, b"\x01\x02\x07")  # B, R, open
 
 
 def test_template_with_partial_domain_is_not_serializable():
-    domains = (frozenset({Color.BLUE}), frozenset({Color.RED}),
-               frozenset({Color.RED, Color.YELLOW}))
-    with pytest.raises(FormatError):
+    domains = b"\x01\x02\x06"  # B, R, red or yellow
+    with pytest.raises(FormatError, match="edge ordinal 2 has a partial domain"):
         serialize_template(ColoringTemplate(3, domains))
+    coupled = ColoringTemplate(3, b"\x07\x07\x07", [Coupling(0, 1, 1)])
+    with pytest.raises(FormatError, match="couplings"):
+        serialize_template(coupled)
 
 
 def test_golden_gf16():

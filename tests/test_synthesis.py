@@ -21,8 +21,6 @@ from ramsey333 import (
     extend_with,
     extension_of_vertex,
     find_extensions,
-    serialize_template,
-    solve_template,
     twin_k17,
 )
 
@@ -71,6 +69,9 @@ def test_gf16_k15_extension_is_unique():
     assert exts[0] == extension_of_vertex(construct_gf16(), 0)
     assert type(exts[0]) is bytes
     assert type(extension_of_vertex(construct_gf16(), 0)) is bytes
+    for v in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            extension_of_vertex(construct_gf16(), v)
 
 
 def test_find_extensions_limit():
@@ -114,6 +115,8 @@ def test_assemble_preconditions():
     ext = find_extensions(k15)[0]
     with pytest.raises(ValueError):
         assemble(delete_vertex(k15, 0), ext, ext)  # 14 vertices
+    with pytest.raises(ValueError, match="extension eb has length 14, need 15"):
+        assemble(k15, ext, ext[:14])
     with pytest.raises(NotTriangleFreeError):
         bad = EdgeColoring(15, bytes(len(k15.colors)))  # all blue, full of triangles
         assemble(bad, ext, ext)
@@ -132,12 +135,7 @@ def test_complete_edge_requires_one_open_edge():
 
 def test_complete_edge_refuses_couplings():
     # closing edge 2 with Y would break the coupling that ties it to edge 1
-    full = frozenset(COLORS)
-    t = ColoringTemplate(
-        3,
-        (frozenset({Color.BLUE}), frozenset({Color.RED}), full),
-        (Coupling(1, 2, 0),),
-    )
+    t = ColoringTemplate(3, b"\x01\x02\x07", (Coupling(1, 2, 0),))  # B, R, open
     with pytest.raises(ValueError, match="coupling"):
         complete_edge(t, Color.YELLOW)
 
@@ -145,19 +143,18 @@ def test_complete_edge_refuses_couplings():
 def _manual_assembly(host, ea, eb):
     """Mount two extensions over any host, leaving the last edge open."""
     n = host.n + 2
-    full = frozenset(COLORS)
     domains = []
     for i in range(n):
         for j in range(i + 1, n):
             if j < host.n:
-                domains.append(frozenset({host.color(i, j)}))
+                domains.append(1 << host.color(i, j))
             elif j == host.n:
-                domains.append(frozenset({ea[i]}))
+                domains.append(1 << ea[i])
             elif i < host.n:
-                domains.append(frozenset({eb[i]}))
+                domains.append(1 << eb[i])
             else:
-                domains.append(full)
-    return ColoringTemplate(n, tuple(domains))
+                domains.append(0b111)
+    return ColoringTemplate(n, domains)
 
 
 def test_overlap_law_with_distinct_extensions():
@@ -208,15 +205,3 @@ def test_twin_k17_any_deleted_vertex():
     for v in (3, 9):
         rep = twin_k17(Color.RED, deleted_vertex=v)
         assert rep.census.mono == (0, 5, 0)
-
-
-def test_int_domains_act_like_color_domains():
-    # ints compare equal to Color members, so the template accepts them
-    ints = ColoringTemplate(3, (frozenset({0}), frozenset({1}), frozenset({0, 1, 2})))
-    colors = ColoringTemplate(
-        3, (frozenset({Color.BLUE}), frozenset({Color.RED}), frozenset(COLORS))
-    )
-    for x in COLORS:
-        assert complete_edge(ints, x) == complete_edge(colors, x)
-    assert serialize_template(ints) == serialize_template(colors)
-    assert solve_template(ints, limit=3) == solve_template(colors, limit=3)

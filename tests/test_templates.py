@@ -17,6 +17,7 @@ from ramsey333 import (
     construct_gf16,
     cylinder_template,
     delete_vertex,
+    edge_index,
     extension_of_vertex,
     parse_document,
     rotate_color,
@@ -24,13 +25,9 @@ from ramsey333 import (
     solve_template,
     template_violations,
 )
-from ramsey333.templates import DOMAINS, MASKS
+from ramsey333.templates import FULL
 
-FULL = frozenset(Color)
-
-
-def _template(n, domains, couplings=()):
-    return ColoringTemplate(n, tuple(map(frozenset, domains)), tuple(couplings))
+B, R, Y = 0b001, 0b010, 0b100  # one-color domain masks
 
 
 def test_rotate_color_cycle():
@@ -43,57 +40,60 @@ def test_rotate_color_cycle():
 
 def test_template_validation():
     with pytest.raises(ValueError):
-        _template(3, [FULL, FULL])  # wrong domain count
+        ColoringTemplate(3, [FULL, FULL])  # wrong domain count
     with pytest.raises(ValueError):
-        _template(3, [FULL, FULL, frozenset()])
+        ColoringTemplate(3, [FULL, FULL, 0])
     with pytest.raises(ValueError):
-        _template(3, [FULL] * 3, [Coupling(0, 0, 1)])
+        ColoringTemplate(3, [FULL] * 3, [Coupling(0, 0, 1)])
     with pytest.raises(ValueError):
-        _template(3, [FULL] * 3, [Coupling(0, 5, 1)])
+        ColoringTemplate(3, [FULL] * 3, [Coupling(0, 5, 1)])
     with pytest.raises(ValueError):
-        _template(3, [FULL] * 3, [Coupling(0, 1, 7)])
+        ColoringTemplate(3, [FULL] * 3, [Coupling(0, 1, 7)])
     with pytest.raises(ValueError):
-        _template(0, [])  # no vertices
+        ColoringTemplate(0, [])  # no vertices
     with pytest.raises(ValueError):
-        _template(-1, [])
+        ColoringTemplate(-1, [])
 
 
-def test_any_container_of_colors_gives_a_hashable_template():
-    t = ColoringTemplate(3, [{0}, {1}, {0, 1, 2}])
-    expected = _template(3, [[Color.BLUE], [Color.RED], FULL])
-    assert t == expected
-    assert hash(t) == hash(expected)
-    assert ColoringTemplate(3, [[0], (Color.RED,), range(3)]) == expected
+def test_any_sequence_of_masks_gives_a_hashable_template():
+    expected = ColoringTemplate(3, b"\x01\x02\x07")
+    for domains in ([B, R, FULL], (1, 2, 7), bytearray([B, R, FULL]), memoryview(b"\x01\x02\x07")):
+        t = ColoringTemplate(3, domains)
+        assert t == expected
+        assert hash(t) == hash(expected)
 
 
 def test_caller_mutation_does_not_reach_the_template():
-    d = [{0}, {1}, {0, 1, 2}]
+    d = bytearray([B, R, FULL])
     t = ColoringTemplate(3, d)
     before = solve_template(t, limit=10)
     # were these seen, BBR and BBY would be new solutions and BRB would go
-    d[0].add(5)
-    d[1].add(0)
-    d[2].discard(0)
-    assert t.domains == (frozenset({Color.BLUE}), frozenset({Color.RED}), FULL)
+    d[1] |= B
+    d[2] &= ~B
+    assert t.domains == b"\x01\x02\x07"
     assert solve_template(t, limit=10) == before
 
 
-@pytest.mark.parametrize("dom, message", [
-    ("B", "non-colors"),
-    ({3}, "non-colors"),
-    ([[0]], "non-colors"),
-    (5, "non-colors"),
-    ("", "empty domain"),
-    ([], "empty domain"),
-    (set(), "empty domain"),
+@pytest.mark.parametrize("domains, message", [
+    ([B, 0, FULL], "ordinal 1 must be a color mask 1-7, got 0"),
+    ([B, R, 0b1000], "ordinal 2 must be a color mask 1-7, got 8"),
+    (b"\xff\x00\x01", "ordinal 0 must be a color mask 1-7, got 255"),
+    ([B, R], "need 3 domains"),
+    ([B, R, 256], "range"),
 ])
-def test_bad_domains_raise_value_error(dom, message):
+def test_bad_domains_raise_value_error(domains, message):
     with pytest.raises(ValueError, match=message):
-        ColoringTemplate(2, [dom])
+        ColoringTemplate(3, domains)
+
+
+@pytest.mark.parametrize("domains", [[{0}, {1}, {0, 1, 2}], ["B", "R", "?"]])
+def test_domains_that_are_not_masks_raise_type_error(domains):
+    with pytest.raises(TypeError):
+        ColoringTemplate(3, domains)
 
 
 def test_couplings_are_normalised():
-    coupled = _template(3, [FULL] * 3, [Coupling(0, 1, 1), Coupling(0, 2, 2)])
+    coupled = ColoringTemplate(3, [FULL] * 3, [Coupling(0, 1, 1), Coupling(0, 2, 2)])
     plain = ColoringTemplate(3, [FULL] * 3, [(0, 1, 1), [0, 2, 2]])
     assert plain == coupled
     assert all(type(cp) is Coupling for cp in plain.couplings)
@@ -104,14 +104,7 @@ def test_couplings_are_normalised():
             ColoringTemplate(3, [FULL] * 3, [bad])
 
 
-def test_domains_are_the_seven_shared_sets():
-    assert DOMAINS[0] is None
-    for mask in range(1, 8):
-        dom = DOMAINS[mask]
-        assert MASKS[dom] == mask
-        assert all(type(x) is Color for x in dom)
-        assert dom == {x for x in Color if mask >> x & 1}
-    shared = {id(dom) for dom in DOMAINS[1:]}
+def test_domains_are_mask_bytes():
     g = construct_gf16()
     k15, ext = delete_vertex(g, 0), extension_of_vertex(g, 0)
     open17 = assemble(k15, ext, ext)
@@ -120,10 +113,13 @@ def test_domains_are_the_seven_shared_sets():
         open17,
         cylinder_template(),
         parse_document(serialize_template(open17)).to_template(),
-        ColoringTemplate(3, [{0}, [1, 2], {Color.RED, 2, 0}]),
+        ColoringTemplate(3, [B, R | Y, FULL]),
     ]
     for t in templates:
-        assert {id(dom) for dom in t.domains} <= shared
+        assert type(t.domains) is bytes
+        assert set(t.domains) <= set(range(1, 8))
+    assert ColoringTemplate.from_coloring(g).domains == bytes(1 << x for x in g.colors)
+    assert open17.domains[-1] == FULL and open17.open_ordinals() == [135]
 
 
 def test_singleton_template_is_its_own_solution():
@@ -136,7 +132,7 @@ def test_singleton_template_is_its_own_solution():
 
 
 def test_solver_respects_domains_and_determinism():
-    t = _template(4, [[Color.BLUE], FULL, FULL, FULL, FULL, [Color.RED, Color.YELLOW]])
+    t = ColoringTemplate(4, [B, FULL, FULL, FULL, FULL, R | Y])
     sols = solve_template(t, limit=100)
     assert sols
     for s in sols:
@@ -148,8 +144,8 @@ def test_solver_respects_domains_and_determinism():
 
 def test_coupling_propagation():
     # edge 1 must be one shift ahead of edge 0; edge 2 two shifts ahead
-    t = _template(3, [FULL, FULL, FULL],
-                  [Coupling(0, 1, 1), Coupling(0, 2, 2)])
+    t = ColoringTemplate(3, [FULL, FULL, FULL],
+                         [Coupling(0, 1, 1), Coupling(0, 2, 2)])
     sols = solve_template(t, limit=30)
     # three rainbow rotations, no monochromatic option survives
     assert len(sols) == 3
@@ -164,28 +160,30 @@ def test_coupling_propagation():
 
 def test_coupling_conflict_is_unsatisfiable():
     # forcing edge 1 to be both sigma(edge 0) and edge 0 itself cannot work
-    t = _template(3, [FULL, FULL, FULL],
-                  [Coupling(0, 1, 1), Coupling(0, 1, 0)])
+    t = ColoringTemplate(3, [FULL, FULL, FULL],
+                         [Coupling(0, 1, 1), Coupling(0, 1, 0)])
     assert solve_template(t, limit=5) == []
 
 
 def test_template_violations_reports():
-    t = _template(3, [[Color.BLUE], FULL, FULL], [Coupling(1, 2, 1)])
+    t = ColoringTemplate(3, [B, FULL, FULL], [Coupling(1, 2, 1)])
     good = EdgeColoring.from_string(3, "BRY")
     assert template_violations(t, good) == []
     bad_domain = EdgeColoring.from_string(3, "RRY")
     assert any("outside domain" in msg for msg in template_violations(t, bad_domain))
     bad_coupling = EdgeColoring.from_string(3, "BRB")
     assert any("coupling" in msg for msg in template_violations(t, bad_coupling))
+    k4 = EdgeColoring.from_string(4, "BRYBRY")
+    assert template_violations(t, k4) == ["vertex count mismatch: template n=3, coloring n=4"]
 
 
 def test_open_ordinals():
-    t = _template(3, [[Color.BLUE], FULL, [Color.RED]])
+    t = ColoringTemplate(3, [B, FULL, R])
     assert t.open_ordinals() == [1]
 
 
 def test_limit_must_be_positive():
-    t = _template(3, [FULL, FULL, FULL])
+    t = ColoringTemplate(3, [FULL, FULL, FULL])
     with pytest.raises(ValueError):
         solve_template(t, limit=0)
 
@@ -202,25 +200,34 @@ def test_cylinder_first_five_solutions_pinned():
     assert digest == CYLINDER_FIRST_5_SHA256
 
 
+# The same for the first fifty, taken before the per-color degree cap: the cap
+# only prunes, so it changes neither the solutions nor their order.
+CYLINDER_FIRST_50_SHA256 = "3de96437cb7c437133af080a0551bada90d85671c301ac5a15e46c0da34967e4"
+
+
+def test_cylinder_first_fifty_solutions_pinned():
+    sols = solve_template(cylinder_template(), limit=50)
+    assert len(sols) == 50
+    digest = hashlib.sha256(b"".join(s.colors for s in sols)).hexdigest()
+    assert digest == CYLINDER_FIRST_50_SHA256
+
+
 def _random_template(rng):
     n = rng.randint(1, 5)
     m = comb(n, 2)
-    domains = []
-    for _ in range(m):
-        mask = rng.randint(1, 7)
-        domains.append([x for x in Color if mask >> x & 1])
+    domains = [rng.randint(1, 7) for _ in range(m)]
     couplings = []
     if m >= 2:
         for _ in range(rng.randint(0, 3)):
             src, dst = rng.sample(range(m), 2)
             couplings.append(Coupling(src, dst, rng.randint(0, 2)))
-    return _template(n, domains, couplings)
+    return ColoringTemplate(n, domains, couplings)
 
 
 def _brute_force_solutions(t):
-    """Every conforming triangle-free coloring, lexicographic over sorted domains."""
+    """Every conforming triangle-free coloring, lexicographic over the domains' colors."""
     out = []
-    for colors in product(*(sorted(dom) for dom in t.domains)):
+    for colors in product(*([x for x in Color if d >> x & 1] for d in t.domains)):
         if any(rotate_color(colors[cp.src], cp.shift) != colors[cp.dst]
                for cp in t.couplings):
             continue
@@ -230,9 +237,24 @@ def _brute_force_solutions(t):
     return out
 
 
+def test_degree_cap_prunes_only_dead_branches():
+    # vertex 0 has five blue spokes; K_5 on 1-5 is a red pentagon and a yellow
+    # pentagram.  A sixth blue spoke, to 6, would leave 1-6 two-colored and
+    # triangle-free, which R(3,3) = 6 rules out, so the cap refuses it at once.
+    domains = bytearray([FULL]) * comb(7, 2)
+    for i in range(1, 6):
+        domains[edge_index(0, i, 7)] = B
+        for j in range(i + 1, 6):
+            domains[edge_index(i, j, 7)] = R if j - i in (1, 4) else Y
+    t = ColoringTemplate(7, domains)
+    sols = solve_template(t, limit=10**6)
+    assert sols == _brute_force_solutions(t)
+    assert sols and all(s.color(0, 6) != Color.BLUE for s in sols)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_solver_matches_brute_force_in_dfs_order(seed):
-    # lexicographic order over the sorted domains is the DFS leaf order
+    # lexicographic order over the domains' colors is the DFS leaf order
     rng = random.Random(seed)
     for _ in range(200):
         t = _random_template(rng)

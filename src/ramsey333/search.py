@@ -22,7 +22,6 @@ a fresh 64-bit subseed from the master stream.
 
 from __future__ import annotations
 
-import os
 import random
 from math import comb
 from typing import NamedTuple
@@ -30,8 +29,7 @@ from typing import NamedTuple
 from .coloring import Color, EdgeColoring, _make_via_new, bit_rows, edge_index, edge_list, toggle
 from .errors import BudgetError
 
-DEFAULT_STATE_BUDGET = 1 << 25
-STATE_BUDGET_ENV = "RAMSEY333_EXHAUSTIVE_BUDGET"
+STATE_BUDGET = 1 << 25  # most raw states k^C(n,2) that exhaustive_min enumerates
 _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
 
 
@@ -218,43 +216,28 @@ def minimize(p: SearchParams) -> SearchResult:
     return SearchResult(best, best_count, tuple(trace), evals)
 
 
-def _state_budget() -> int:
-    raw = os.environ.get(STATE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_STATE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BudgetError(f"{STATE_BUDGET_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise BudgetError(f"{STATE_BUDGET_ENV} must be positive")
-    return value
-
-
 def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     """Exact minimum total monochromatic count over all k-colorings of K_n.
 
     Depth-first with branch-and-bound over edges in column order ((0,1),
     (0,2), (1,2), (0,3), ...), colors in order B < R < Y, first edge fixed to
     blue.  Returns the minimum and the first witness in that search order.
-    Refuses instances whose raw state count k^C(n,2) exceeds the budget
-    (default 2^25, overridable via the RAMSEY333_EXHAUSTIVE_BUDGET variable).
+    Refuses instances whose raw state count k^C(n,2) exceeds STATE_BUDGET
+    (2^25: k=2 up to n=7, k=3 up to n=6).
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if n < 1:
         raise ValueError("n must be positive")
-    budget = _state_budget()
-    # k^m >= 2^m, so m >= budget.bit_length() already exceeds the budget
+    # k^m >= 2^m, so m >= STATE_BUDGET.bit_length() already exceeds the budget
     # without forming a power that can run to thousands of digits.
     m = comb(n, 2)
-    if m >= budget.bit_length() or k**m > budget:
-        raise BudgetError(f"{k}^C({n},2) colorings exceed the budget of {budget}")
+    if m >= STATE_BUDGET.bit_length() or k**m > STATE_BUDGET:
+        raise BudgetError(f"{k}^C({n},2) colorings exceed the budget of {STATE_BUDGET}")
 
     # Column order: all edges into vertex v come right after K_{v} is done,
     # so each assignment closes its triangles immediately.
-    order = [(u, v) for v in range(1, n) for u in range(v)]
-    ordinals = [edge_index(u, v, n) for u, v in order]
+    order = [(u, v, edge_index(u, v, n)) for v in range(1, n) for u in range(v)]
     rows = [[0] * n for _ in range(3)]
     colors = bytearray(m)
     best_count = comb(n, 3) + 1  # above any possible count
@@ -266,12 +249,12 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
             best_count = count
             best_colors = bytes(colors)
             return
-        u, v = order[idx]
+        u, v, o = order[idx]
         for x in range(k) if idx else (0,):  # first edge pinned to blue
             closed = count + (rows[x][u] & rows[x][v]).bit_count()
             if closed >= best_count:
                 continue
-            colors[idx] = x
+            colors[o] = x
             # Inline rather than coloring.toggle: the call makes this hot loop ~15% slower.
             bit_u, bit_v = 1 << v, 1 << u
             rows[x][u] |= bit_u
@@ -282,7 +265,4 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
 
     dfs(0, 0)
     assert best_colors is not None
-    by_ordinal = bytearray(m)
-    for idx, o in enumerate(ordinals):
-        by_ordinal[o] = best_colors[idx]
-    return best_count, EdgeColoring(n, bytes(by_ordinal))
+    return best_count, EdgeColoring(n, best_colors)

@@ -132,8 +132,10 @@ def parse_document(text: str) -> ColoringDocument:
         if required not in fields:
             raise FormatError(f"missing field: {required}")
     n, k = fields["n"], fields["k"]
-    if not all(v.isascii() and v.isdigit() and str(int(v)) == v for v in (n, k)):
+    if not all(v.isascii() and v.isdigit() and (v[0] != "0" or v == "0") for v in (n, k)):
         raise FormatError("n and k must be integers")  # no leading zero: 03 would write back as 3
+    if max(len(n), len(k)) > 18:  # fits int64; C(n, 2) colors for a longer n never fit in memory
+        raise FormatError("n and k must have at most 18 digits")
     meta = {key[len("meta.") :]: v for key, v in fields.items() if key.startswith("meta.")}
     return ColoringDocument(int(n), int(k), fields["colors"], meta)
 

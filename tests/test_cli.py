@@ -124,7 +124,9 @@ def test_malformed_document_exit_code(monkeypatch, capsys):
 
 
 def test_budget_exit_code(capsys):
-    for n, k in (("9", "3"), ("200", "2")):  # 2^C(200,2) has over 4300 digits
+    # (7, 2) and (6, 3) are the largest instances the budget admits;
+    # 2^C(200,2) has over 4300 digits
+    for n, k in (("8", "2"), ("7", "3"), ("9", "3"), ("200", "2"), ("135", "3")):
         code, _, err = run(["exhaustive", "--n", n, "--k", k], capsys=capsys)
         assert code == 3
         assert "exceed" in err

@@ -19,7 +19,6 @@ from ramsey333 import (
     random_coloring,
 )
 from ramsey333 import search
-from ramsey333.search import STATE_BUDGET_ENV
 
 
 def test_random_coloring_determinism():
@@ -191,6 +190,22 @@ def test_exhaustive_min_witness_matches_count():
         assert witness.colors[0] == 0  # first edge pinned to blue
 
 
+@pytest.mark.parametrize("n, k, minimum, witness", [
+    (1, 2, 0, ""),
+    (2, 3, 0, "B"),
+    (3, 2, 0, "BBR"),
+    (4, 2, 0, "BBRRBB"),
+    (5, 2, 0, "BBRRRBRRBB"),
+    (6, 2, 2, "BBBRRBBRRRBRRBB"),
+    (6, 3, 0, "BBBBRRRYBYRBRBB"),
+    (7, 2, 4, "BBBBRRBBRRRRRBRRRBBBB"),  # the largest k=2 instance the budget admits
+])
+def test_exhaustive_min_first_witness_pinned(n, k, minimum, witness):
+    # the docstring promises the first witness in the DFS order, in ordinal order
+    count, coloring = exhaustive_min(n, k)
+    assert (count, coloring.color_string()) == (minimum, witness)
+
+
 def test_exhaustive_min_pentagon_witness():
     _, witness = exhaustive_min(5, 2)
     for v in range(5):
@@ -200,28 +215,11 @@ def test_exhaustive_min_pentagon_witness():
 
 
 def test_exhaustive_min_budget():
-    with pytest.raises(BudgetError):
-        exhaustive_min(8, 2)  # 2^28 states
-    with pytest.raises(BudgetError):
-        exhaustive_min(7, 3)  # 3^21 states
-    # k^C(n,2) has more than 4300 digits here; refusing must not format it
-    for n, k in ((200, 2), (135, 3)):
-        with pytest.raises(BudgetError, match="exceed"):
+    # 2^28 and 3^21 states; k^C(n,2) has more than 4300 digits for the last
+    # two, so refusing must not format it
+    for n, k in ((8, 2), (7, 3), (200, 2), (135, 3)):
+        with pytest.raises(BudgetError, match="exceed the budget of 33554432"):
             exhaustive_min(n, k)
-
-
-def test_exhaustive_budget_env_override(monkeypatch):
-    monkeypatch.setenv(STATE_BUDGET_ENV, "4")
-    with pytest.raises(BudgetError):
-        exhaustive_min(3, 2)  # 2^3 = 8 > 4
-    monkeypatch.setenv(STATE_BUDGET_ENV, "8")
-    assert exhaustive_min(3, 2)[0] == 0
-    monkeypatch.setenv(STATE_BUDGET_ENV, "bogus")
-    with pytest.raises(BudgetError):
-        exhaustive_min(3, 2)
-    monkeypatch.setenv(STATE_BUDGET_ENV, "0")
-    with pytest.raises(BudgetError, match="must be positive"):
-        exhaustive_min(3, 2)
 
 
 def test_exhaustive_min_tiny_sizes():

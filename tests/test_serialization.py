@@ -74,6 +74,10 @@ def test_parse_rejects_bad_documents():
         "coloring/1\nn: 03\nk: 3\ncolors: BRY\n",  # leading zero: 03 would write back as 3
         "coloring/1\nn: 3\nk: 03\ncolors: BRY\n",  # leading zero in k
         "coloring/1\nn: 0\nk: 3\ncolors: \n",  # no vertices
+        "coloring/1\nn: " + "1" * 5000 + "\nk: 3\ncolors: B\n",  # beyond int()'s digit limit
+        "coloring/1\nn: " + "1" * 2200 + "\nk: 3\ncolors: B\n",  # C(n,2) beyond it
+        "coloring/1\nn: 3\nk: " + "1" * 5000 + "\ncolors: BRY\n",
+        "coloring/1\nn: 1" + "0" * 18 + "\nk: 3\ncolors: B\n",  # 19 digits
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nbogus\n",  # a line with no ':'
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nn: 3\n",  # duplicate field
         "coloring/1\nn: 3\nk: 3\ncolors: BRY\nbogus: 1\n",  # unknown field

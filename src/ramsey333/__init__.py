@@ -48,7 +48,6 @@ from .search import (
 )
 from .serialization import (
     ColoringDocument,
-    parse,
     parse_document,
     serialize,
     serialize_template,
@@ -65,7 +64,6 @@ from .synthesis import (
 from .templates import (
     ColoringTemplate,
     Coupling,
-    rotate_color,
     solve_template,
     template_violations,
 )
@@ -106,12 +104,10 @@ __all__ = [
     "find_extensions",
     "minimize",
     "move_delta",
-    "parse",
     "parse_document",
     "permute_colors",
     "permute_vertices",
     "random_coloring",
-    "rotate_color",
     "serialize",
     "serialize_template",
     "sigma",

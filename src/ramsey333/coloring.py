@@ -20,7 +20,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class Color(IntEnum):
@@ -90,8 +90,8 @@ class EdgeColoring(_EdgeColoringFields):
     _make = classmethod(_make_via_new)
 
     def __new__(cls, n, colors):
-        if n < 1:
-            raise ValueError("vertex count must be at least 1")
+        if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
+            raise ValueError("vertex count must be at least 1 and below 10**18")
         if isinstance(colors, int):  # bytes(3) would be three zero bytes
             raise TypeError("colors must be a sequence of color values, not an int")
         colors = bytes(colors)  # a bytearray would be unhashable
@@ -105,11 +105,6 @@ class EdgeColoring(_EdgeColoringFields):
     @classmethod
     def from_string(cls, n: int, s: str) -> "EdgeColoring":
         return cls(n, bytes(Color.from_char(ch) for ch in s))
-
-    @classmethod
-    def from_function(cls, n: int, f: Callable[[int, int], int]) -> "EdgeColoring":
-        """Color edge (i, j) with f(i, j); f is called with i < j."""
-        return cls(n, bytes(int(f(i, j)) for i, j in edge_list(n)))
 
     def color(self, i: int, j: int) -> Color:
         if i > j:
@@ -230,10 +225,8 @@ def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
     if c.n < 2:
         raise ValueError("cannot delete a vertex from K_1")
-    keep = [u for u in range(c.n) if u != v]
-    return EdgeColoring.from_function(
-        c.n - 1, lambda i, j: c.colors[edge_index(keep[i], keep[j], c.n)]
-    )
+    # Relabelling the kept vertices is monotone, so the edges avoiding v stay in ordinal order.
+    return EdgeColoring(c.n - 1, bytes(x for e, x in zip(edge_list(c.n), c.colors) if v not in e))
 
 
 def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:

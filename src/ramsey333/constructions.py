@@ -26,8 +26,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .coloring import COLORS, Color, EdgeColoring, edge_index
-from .templates import FULL, ColoringTemplate, Coupling, rotate_color
+from .coloring import COLORS, Color, EdgeColoring, edge_index, edge_list
+from .templates import FULL, ColoringTemplate, Coupling
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
 CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
@@ -35,7 +35,7 @@ CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
 
 def sigma(x: Color) -> Color:
     """The cyclic color shift Red -> Yellow -> Blue -> Red; sigma^3 = identity."""
-    return rotate_color(x, 1)
+    return Color((x + 1) % 3)
 
 
 @lru_cache(maxsize=1)
@@ -54,7 +54,7 @@ def construct_gf16() -> EdgeColoring:
     """Triangle-free K_16: vertex = field element, edge color = class of u XOR w."""
     # Residue class j colors its differences COLORS[j], fixed for canonical output.
     color_of = {d: x for x, cls in zip(COLORS, cubic_classes()) for d in cls}
-    return EdgeColoring.from_function(16, lambda u, w: color_of[u ^ w])
+    return EdgeColoring(16, bytes(color_of[u ^ w] for u, w in edge_list(16)))
 
 
 def cylinder_template() -> ColoringTemplate:

@@ -53,8 +53,8 @@ class ColoringDocument(_ColoringDocumentFields):
     def __new__(cls, n, k, colors, meta=None):
         if k not in (2, 3):
             raise FormatError(f"k must be 2 or 3, got {k}")
-        if n < 1:
-            raise FormatError(f"n must be positive, got {n}")
+        if not 0 < n < 10**18:  # the reader's 18 digits; C(n, 2) of a larger n may not print
+            raise FormatError("n must be positive, with at most 18 digits")
         expected = comb(n, 2)
         if len(colors) != expected:
             raise FormatError(
@@ -103,11 +103,6 @@ def serialize(
     if k is None:
         k = max(2, 1 + max(c.colors, default=0))
     return ColoringDocument(c.n, k, c.color_string(), dict(meta or {})).to_text()
-
-
-def parse(text: str) -> EdgeColoring:
-    """Read a document back into a coloring; raises FormatError on bad input."""
-    return parse_document(text).to_coloring()
 
 
 def parse_document(text: str) -> ColoringDocument:

@@ -22,7 +22,6 @@ from .coloring import (
     bit_rows,
     census,
     delete_vertex,
-    edge_index,
     edge_list,
     fast_mono_counts,
 )
@@ -44,7 +43,8 @@ def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
     """The spoke colors vertex v already has in c, indexed like delete_vertex(c, v)."""
     if not 0 <= v < c.n:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
-    return bytes(c.color(u, v) for u in range(c.n) if u != v)
+    # The edges at v come in ordinal order: (u, v) by u below v, then (v, w) by w above it.
+    return bytes(x for e, x in zip(edge_list(c.n), c.colors) if v in e)
 
 
 def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
@@ -95,10 +95,15 @@ def extend_with(c: EdgeColoring, e: bytes) -> EdgeColoring:
     """K_{n+1} with the new vertex appended as index n; e[i] colors its spoke to i."""
     if len(e) != c.n:
         raise ValueError(f"extension length {len(e)} does not match n={c.n}")
-    return EdgeColoring.from_function(
-        c.n + 1,
-        lambda i, j: e[i] if j == c.n else c.colors[edge_index(i, j, c.n)],
-    )
+    n, cols = c.n, c.colors
+    out = bytearray()
+    o = 0  # ordinal of (i, i + 1) in K_n
+    for i, x in enumerate(e):
+        # Row i of K_{n+1} is row i of K_n, edges (i, i+1) .. (i, n-1), then the new edge (i, n).
+        out += cols[o : o + n - 1 - i]
+        out.append(x)
+        o += n - 1 - i
+    return EdgeColoring(n + 1, out)
 
 
 def assemble(

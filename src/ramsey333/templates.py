@@ -27,13 +27,8 @@ from .coloring import Color, EdgeColoring, _make_via_new, edge_list, toggle
 FULL = 0b111  # the domain mask that allows every color
 
 
-def rotate_color(x: Color, k: int) -> Color:
-    """Shift a color k steps along the 3-cycle Blue -> Red -> Yellow -> Blue."""
-    return Color((int(x) + k) % 3)
-
-
 class Coupling(NamedTuple):
-    """Functional constraint: color(dst) = rotate_color(color(src), shift)."""
+    """Functional constraint: color(dst) = (color(src) + shift) % 3."""
 
     src: int
     dst: int
@@ -53,8 +48,8 @@ class ColoringTemplate(_ColoringTemplateFields):
     _make = classmethod(_make_via_new)
 
     def __new__(cls, n, domains, couplings=()):
-        if n < 1:
-            raise ValueError("vertex count must be at least 1")
+        if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
+            raise ValueError("vertex count must be at least 1 and below 10**18")
         if isinstance(domains, int):  # bytes(3) would be three empty domains
             raise TypeError("domains must be a sequence of color masks, not an int")
         domains = bytes(domains)  # a bytearray would be unhashable
@@ -99,7 +94,7 @@ def template_violations(t: ColoringTemplate, c: EdgeColoring) -> list[str]:
             i, j = edge_list(t.n)[o]
             msgs.append(f"edge ({i},{j}) colored {Color(c.colors[o]).char} outside domain")
     for cp in t.couplings:
-        want = rotate_color(Color(c.colors[cp.src]), cp.shift)
+        want = Color((c.colors[cp.src] + cp.shift) % 3)
         if Color(c.colors[cp.dst]) != want:
             msgs.append(
                 f"coupling broken: edge {cp.dst} should be {want.char} "

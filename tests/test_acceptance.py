@@ -25,7 +25,7 @@ from ramsey333 import (
     find_extensions,
     minimize,
     move_delta,
-    parse,
+    parse_document,
     permute_colors,
     permute_vertices,
     random_coloring,
@@ -222,7 +222,7 @@ def test_criterion_10_round_trip_and_goldens():
     for _ in range(200):
         n = rng.randrange(1, 25)
         c = random_coloring(n, rng.choice((2, 3)), rng.getrandbits(64))
-        if parse(serialize(c)) != c:
+        if parse_document(serialize(c)).to_coloring() != c:
             ok = False
             break
     gf16_text = serialize(construct_gf16(), k=3, meta={"method": "gf16"})

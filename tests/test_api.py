@@ -11,8 +11,8 @@ PUBLIC_NAMES = [
     "cylinder_template", "delete_vertex", "edge_index", "edge_list",
     "exhaustive_min", "export_figure", "extend_with", "extension_of_vertex",
     "fast_mono_counts", "find_extensions", "minimize", "move_delta",
-    "parse", "parse_document", "permute_colors", "permute_vertices",
-    "random_coloring", "rotate_color", "serialize", "serialize_template", "sigma",
+    "parse_document", "permute_colors", "permute_vertices",
+    "random_coloring", "serialize", "serialize_template", "sigma",
     "solve_template", "template_violations", "twin_k17",
 ]
 

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from ramsey333 import (
+    COLORS,
     CYLINDER_LABELS,
     Color,
     census,
@@ -48,6 +49,22 @@ def test_gf16_profiles_balanced():
     g = construct_gf16()
     for v in range(16):
         assert color_degree_profile(g, v) == (5, 5, 5)
+
+
+def test_cubic_classes_partition():
+    classes = cubic_classes()
+    assert classes[0] == frozenset({1, 8, 12, 10, 15})  # g^0, g^3, g^6, g^9, g^12
+    assert all(len(cls) == 5 for cls in classes)
+    assert frozenset().union(*classes) == frozenset(range(1, 16))
+    for a, b in combinations(range(3), 2):
+        assert not classes[a] & classes[b]
+
+
+def test_class_of():
+    g = construct_gf16()
+    for j, cls in enumerate(cubic_classes()):
+        for x in cls:
+            assert g.color(0, x) == COLORS[j]
 
 
 def test_sum_freeness_and_triangle_freeness_agree():

@@ -115,6 +115,15 @@ BAD_INPUTS = [
      {"n": 2, "k": 2, "colors": "B", "meta": {"a b": "c"}}, FormatError, "bad meta key"),
     (SearchParams, (0, 2, 1), {"n": 0, "k": 2, "seed": 1}, ValueError, "n must be positive"),
     (ColoringTemplate, (2, 1), {"n": 2, "domains": 1}, TypeError, "not an int"),
+    # C(n, 2) of such an n has more digits than str() may print
+    (EdgeColoring, (10**2200, b"\0"), {"n": 10**2200, "colors": b"\0"},
+     ValueError, r"below 10\*\*18"),
+    (EdgeColoring, (10**5000, b"\0"), {"n": 10**5000, "colors": b"\0"},
+     ValueError, r"below 10\*\*18"),
+    (ColoringTemplate, (10**2200, b"\1"), {"n": 10**2200, "domains": b"\1"},
+     ValueError, r"below 10\*\*18"),
+    (ColoringTemplate, (10**5000, b"\1"), {"n": 10**5000, "domains": b"\1"},
+     ValueError, r"below 10\*\*18"),
 ]
 
 

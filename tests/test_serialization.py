@@ -15,7 +15,6 @@ from ramsey333 import (
     FormatError,
     census,
     construct_gf16,
-    parse,
     parse_document,
     random_coloring,
     serialize,
@@ -39,7 +38,7 @@ def test_round_trip_random():
     for _ in range(50):
         n = rng.randrange(1, 20)
         c = random_coloring(n, rng.choice((2, 3)), rng.getrandbits(64))
-        assert parse(serialize(c)) == c
+        assert parse_document(serialize(c)).to_coloring() == c
 
 
 def test_serialization_is_byte_stable():
@@ -59,7 +58,7 @@ def test_meta_round_trip_preserves_unknown_keys():
 
 def test_parse_rejects_bad_documents():
     good = "coloring/1\nn: 3\nk: 3\ncolors: BRY\n"
-    assert parse(good) == EdgeColoring.from_string(3, "BRY")
+    assert parse_document(good).to_coloring() == EdgeColoring.from_string(3, "BRY")
     bad = [
         "coloring/2\nn: 3\nk: 3\ncolors: BRY\n",  # unknown version
         "n: 3\nk: 3\ncolors: BRY\n",  # missing header
@@ -86,7 +85,10 @@ def test_parse_rejects_bad_documents():
     ]
     for text in bad:
         with pytest.raises(FormatError):
-            parse(text)
+            parse_document(text).to_coloring()
+    for n in (10**2200, 10**5000):  # refused without printing n or C(n, 2)
+        with pytest.raises(FormatError, match="at most 18 digits"):
+            ColoringDocument(n, 3, "B")
 
 
 @pytest.mark.parametrize("meta", [
@@ -154,7 +156,7 @@ def test_template_documents():
     t = parse_document(rep_template_text).to_template()
     assert t.open_ordinals() == [2]
     with pytest.raises(FormatError):
-        parse(rep_template_text)  # strict coloring parse refuses open edges
+        parse_document(rep_template_text).to_coloring()  # a coloring has no open edges
 
 
 def test_open_edges_take_all_three_colors_and_templates_write_k3():
@@ -179,7 +181,7 @@ def test_template_with_partial_domain_is_not_serializable():
 def test_golden_gf16():
     text = serialize(construct_gf16(), k=3, meta={"method": "gf16"})
     assert text == (GOLDEN / "gf16_k16.txt").read_text()
-    assert census(parse(text)).mono == (0, 0, 0)
+    assert census(parse_document(text).to_coloring()).mono == (0, 0, 0)
 
 
 def test_golden_twin_k17():
@@ -189,4 +191,4 @@ def test_golden_twin_k17():
         meta={"method": "twin-k17", "color": "B", "deleted_vertex": "0"},
     )
     assert text == (GOLDEN / "twin_k17_B.txt").read_text()
-    assert census(parse(text)).mono == (5, 0, 0)
+    assert census(parse_document(text).to_coloring()).mono == (5, 0, 0)

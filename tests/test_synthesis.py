@@ -1,5 +1,6 @@
 """Vertex extensions and the 17-vertex assembly."""
 
+import random
 from itertools import product
 
 import pytest
@@ -17,10 +18,12 @@ from ramsey333 import (
     construct_gf16,
     delete_vertex,
     edge_index,
+    edge_list,
     exhaustive_min,
     extend_with,
     extension_of_vertex,
     find_extensions,
+    random_coloring,
     twin_k17,
 )
 
@@ -89,6 +92,24 @@ def test_extend_with_round_trip():
     assert restored == g
     with pytest.raises(ValueError):
         extend_with(k15, bytes([Color.BLUE] * 3))
+
+
+def test_vertex_operations_match_pairwise_definition():
+    rng = random.Random(1313)
+    for n in range(1, 26):
+        c = random_coloring(n, 3, rng.getrandbits(64))
+        e = bytes(rng.randrange(3) for _ in range(n))
+        bigger = extend_with(c, e)
+        assert delete_vertex(bigger, n) == c
+        assert extension_of_vertex(bigger, n) == e
+        for v in range(n):
+            keep = [u for u in range(n) if u != v]
+            ext = extension_of_vertex(c, v)
+            assert len(ext) == n - 1
+            assert all(ext[i] == c.color(u, v) for i, u in enumerate(keep))
+            if n > 1:
+                d = delete_vertex(c, v)
+                assert all(d.color(i, j) == c.color(keep[i], keep[j]) for i, j in edge_list(n - 1))
 
 
 def test_extensions_extend_triangle_free():

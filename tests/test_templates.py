@@ -20,22 +20,14 @@ from ramsey333 import (
     edge_index,
     extension_of_vertex,
     parse_document,
-    rotate_color,
     serialize_template,
+    sigma,
     solve_template,
     template_violations,
 )
 from ramsey333.templates import FULL
 
 B, R, Y = 0b001, 0b010, 0b100  # one-color domain masks
-
-
-def test_rotate_color_cycle():
-    assert rotate_color(Color.BLUE, 1) == Color.RED
-    assert rotate_color(Color.YELLOW, 1) == Color.BLUE
-    for x in Color:
-        assert rotate_color(rotate_color(rotate_color(x, 1), 1), 1) == x
-        assert rotate_color(x, 0) == x
 
 
 def test_template_validation():
@@ -152,8 +144,8 @@ def test_coupling_propagation():
     for s in sols:
         assert template_violations(t, s) == []
         a = Color(s.colors[0])
-        assert Color(s.colors[1]) == rotate_color(a, 1)
-        assert Color(s.colors[2]) == rotate_color(a, 2)
+        assert Color(s.colors[1]) == sigma(a)
+        assert Color(s.colors[2]) == sigma(sigma(a))
     # first solution starts from the lowest color of edge 0
     assert Color(sols[0].colors[0]) == Color.BLUE
 
@@ -175,6 +167,11 @@ def test_template_violations_reports():
     assert any("coupling" in msg for msg in template_violations(t, bad_coupling))
     k4 = EdgeColoring.from_string(4, "BRYBRY")
     assert template_violations(t, k4) == ["vertex count mismatch: template n=3, coloring n=4"]
+    same = ColoringTemplate(3, [FULL] * 3, [Coupling(0, 2, 0)])  # shift 0 keeps the color
+    assert template_violations(same, EdgeColoring.from_string(3, "BRB")) == []
+    assert template_violations(same, EdgeColoring.from_string(3, "BRR")) == [
+        "coupling broken: edge 2 should be B (edge 0 shifted by 0)"
+    ]
 
 
 def test_open_ordinals():
@@ -228,7 +225,7 @@ def _brute_force_solutions(t):
     """Every conforming triangle-free coloring, lexicographic over the domains' colors."""
     out = []
     for colors in product(*([x for x in Color if d >> x & 1] for d in t.domains)):
-        if any(rotate_color(colors[cp.src], cp.shift) != colors[cp.dst]
+        if any((colors[cp.src] + cp.shift) % 3 != colors[cp.dst]
                for cp in t.couplings):
             continue
         c = EdgeColoring(t.n, bytes(colors))

@@ -82,11 +82,7 @@ def cmd_construct(args) -> int:
     if args.method == "gf16":
         c = construct_gf16()
     else:
-        solutions = solve_template(cylinder_template(), limit=1)
-        if not solutions:
-            print("cylinder rules admit no triangle-free completion", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        c = solutions[0]
+        c = solve_template(cylinder_template(), limit=1)[0]
     _write(serialize(c, k=3, meta={"method": args.method}), args.out)
     return EXIT_OK
 
@@ -252,81 +248,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="3-edge-colorings of complete graphs with few monochromatic triangles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several subcommands share, each declared once
+    file, out, as_json, color = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    file.add_argument("file", nargs="?", default="-")
+    out.add_argument("--out")
+    as_json.add_argument("--json", action="store_true")
+    color.add_argument("--color", choices=["B", "R", "Y"], required=True)
 
-    p = sub.add_parser("construct", help="emit a triangle-free 16-vertex coloring")
+    def add(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("construct", cmd_construct, "emit a triangle-free 16-vertex coloring", out)
     p.add_argument("--method", choices=["gf16", "cylinder"], required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="check census against expected mono counts")
-    p.add_argument("file", nargs="?", default="-")
+    p = add("verify", cmd_verify, "check census against expected mono counts", file, as_json)
     p.add_argument("--expect-mono", default="0,0,0", metavar="B,R,Y")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("count", help="print the triangle census")
-    p.add_argument("file", nargs="?", default="-")
+    p = add("count", cmd_count, "print the triangle census", file, as_json)
     p.add_argument("--per-color", action="store_true")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("delete-vertex", help="remove one vertex and its edges")
-    p.add_argument("file", nargs="?", default="-")
+    p = add("delete-vertex", cmd_delete_vertex, "remove one vertex and its edges", file, out)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_delete_vertex)
 
-    p = sub.add_parser("extend", help="list triangle-free one-vertex extensions")
-    p.add_argument("file", nargs="?", default="-")
+    p = add("extend", cmd_extend, "list triangle-free one-vertex extensions", file, as_json)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("assemble", help="mount two extensions over a shared 15-vertex core")
+    p = add("assemble", cmd_assemble, "mount two extensions over a shared 15-vertex core", out)
     p.add_argument("--base", required=True)
     p.add_argument("--ext-a", required=True)
     p.add_argument("--ext-b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_assemble)
 
-    p = sub.add_parser("complete", help="close the open edge of an assembled template")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--color", choices=["B", "R", "Y"], required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_complete)
+    add("complete", cmd_complete, "close the open edge of an assembled template",
+        file, color, out, as_json)
 
-    p = sub.add_parser("twin-k17", help="17-vertex coloring with five one-color triangles")
-    p.add_argument("--color", choices=["B", "R", "Y"], required=True)
+    p = add("twin-k17", cmd_twin_k17, "17-vertex coloring with five one-color triangles",
+            color, out)
     p.add_argument("--deleted-vertex", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_twin_k17)
 
-    p = sub.add_parser("search", help="restart hill climbing on the mono count")
+    p = add("search", cmd_search, "restart hill climbing on the mono count", as_json, out)
+    defaults = SearchParams._field_defaults
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--sideways", type=int, default=50)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_search)
+    p.add_argument("--restarts", type=int, default=defaults["restarts"])
+    p.add_argument("--steps", type=int, default=defaults["steps_per_restart"])
+    p.add_argument("--sideways", type=int, default=defaults["sideways_limit"])
 
-    p = sub.add_parser("exhaustive", help="exact minimum by full enumeration (tiny n)")
+    p = add("exhaustive", cmd_exhaustive, "exact minimum by full enumeration (tiny n)",
+            as_json, out)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_exhaustive)
 
-    p = sub.add_parser("export", help="render a coloring as DOT or SVG")
-    p.add_argument("file", nargs="?", default="-")
+    p = add("export", cmd_export, "render a coloring as DOT or SVG", file, out)
     p.add_argument("--format", choices=["dot", "svg"], required=True)
     p.add_argument("--highlight-mono", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_export)
 
     return parser
 

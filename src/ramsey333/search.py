@@ -30,6 +30,7 @@ from .coloring import Color, EdgeColoring, _make_via_new, bit_rows, edge_index, 
 from .errors import BudgetError
 
 STATE_BUDGET = 1 << 25  # most raw states k^C(n,2) that exhaustive_min enumerates
+EDGE_BUDGET = 1 << 15  # most edges C(n,2) that minimize climbs on: n <= 256
 _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
 
 
@@ -37,27 +38,28 @@ class _SearchParamsFields(NamedTuple):
     n: int
     k: int
     seed: int
-    restarts: int
-    steps_per_restart: int
-    sideways_limit: int
+    restarts: int = 20
+    steps_per_restart: int = 2000
+    sideways_limit: int = 50
 
 
 class SearchParams(_SearchParamsFields):
     __slots__ = ()
     _make = classmethod(_make_via_new)
 
-    def __new__(cls, n, k, seed, restarts=20, steps_per_restart=2000, sideways_limit=50):
-        if k not in (2, 3):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.k not in (2, 3):
             raise ValueError("k must be 2 or 3")
-        if n < 1:
+        if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= seed < 1 << 64:
+        if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if restarts < 1 or steps_per_restart < 1:
+        if self.restarts < 1 or self.steps_per_restart < 1:
             raise ValueError("restarts and steps_per_restart must be positive")
-        if sideways_limit < 0:
+        if self.sideways_limit < 0:
             raise ValueError("sideways_limit must be nonnegative")
-        return super().__new__(cls, n, k, seed, restarts, steps_per_restart, sideways_limit)
+        return self
 
 
 class SearchResult(NamedTuple):
@@ -196,8 +198,11 @@ def minimize(p: SearchParams) -> SearchResult:
     """Restart hill climbing; returns the best coloring over all restarts.
 
     The incumbent is merged by (count, restart index), so the reported best
-    is the earliest restart that achieved the lowest count.
+    is the earliest restart that achieved the lowest count.  Refuses n whose
+    C(n,2) edges exceed EDGE_BUDGET (2^15: n up to 256) before drawing anything.
     """
+    if comb(p.n, 2) > EDGE_BUDGET:
+        raise BudgetError(f"C(n,2) edges exceed the budget of {EDGE_BUDGET}")
     master = random.Random(p.seed)
     subseeds = [master.getrandbits(64) for _ in range(p.restarts)]
     best: EdgeColoring | None = None
@@ -233,7 +238,7 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     # without forming a power that can run to thousands of digits.
     m = comb(n, 2)
     if m >= STATE_BUDGET.bit_length() or k**m > STATE_BUDGET:
-        raise BudgetError(f"{k}^C({n},2) colorings exceed the budget of {STATE_BUDGET}")
+        raise BudgetError(f"{k}^C(n,2) colorings exceed the budget of {STATE_BUDGET}")
 
     # Column order: all edges into vertex v come right after K_{v} is done,
     # so each assignment closes its triangles immediately.

@@ -6,8 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from ramsey333 import construct_gf16, delete_vertex, extension_of_vertex, parse_document, serialize
-from ramsey333.cli import main
+from ramsey333 import (
+    SearchParams,
+    construct_gf16,
+    delete_vertex,
+    extension_of_vertex,
+    parse_document,
+    serialize,
+)
+from ramsey333.cli import build_parser, main
 
 ALL_BLUE_K3 = "coloring/1\nn: 3\nk: 2\ncolors: BBB\n"
 
@@ -130,6 +137,11 @@ def test_budget_exit_code(capsys):
         code, _, err = run(["exhaustive", "--n", n, "--k", k], capsys=capsys)
         assert code == 3
         assert "exceed" in err
+    # n = 256 is the largest climb the edge budget admits; refused before any draw
+    code, out, err = run(["search", "--n", "257", "--k", "3", "--seed", "1"], capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "exceed" in err
 
 
 def test_exhaustive_json(capsys):
@@ -291,6 +303,54 @@ def test_export_dot_refuses_highlighting(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "SVG-only" in err
+
+
+# every subcommand, its required arguments, and every destination it fills
+# with the value or default it parses to
+PARSED = {
+    "construct": (["--method", "gf16"], {"method": "gf16", "out": None}),
+    "verify": ([], {"file": "-", "expect_mono": "0,0,0", "json": False}),
+    "count": ([], {"file": "-", "per_color": False, "list": False, "json": False}),
+    "delete-vertex": (["--vertex", "0"], {"file": "-", "vertex": 0, "out": None}),
+    "extend": ([], {"file": "-", "limit": None, "json": False}),
+    "assemble": (["--base", "b", "--ext-a", "a", "--ext-b", "e"],
+                 {"base": "b", "ext_a": "a", "ext_b": "e", "out": None}),
+    "complete": (["--color", "B"], {"file": "-", "color": "B", "out": None, "json": False}),
+    "twin-k17": (["--color", "R"], {"color": "R", "deleted_vertex": 0, "out": None}),
+    "search": (["--n", "5", "--k", "2", "--seed", "1"],
+               {"n": 5, "k": 2, "seed": 1, "restarts": 20, "steps": 2000, "sideways": 50,
+                "json": False, "out": None}),
+    "exhaustive": (["--n", "5", "--k", "2"], {"n": 5, "k": 2, "json": False, "out": None}),
+    "export": (["--format", "svg"],
+               {"file": "-", "format": "svg", "highlight_mono": False, "out": None}),
+}
+
+# the arguments several subcommands share, each as a destination and a use of it
+SHARED = {"file": ["x"], "out": ["--out", "x"], "json": ["--json"], "color": ["--color", "B"]}
+
+
+@pytest.mark.parametrize("sub", sorted(PARSED))
+def test_subcommand_arguments_are_pinned(sub):
+    required, expected = PARSED[sub]
+    parsed = vars(build_parser().parse_args([sub, *required]))
+    del parsed["func"]
+    assert parsed == {"command": sub, **expected}
+
+
+def test_search_defaults_are_search_params_defaults():
+    _, expected = PARSED["search"]
+    p = SearchParams(n=5, k=2, seed=1)
+    assert (expected["restarts"], expected["steps"], expected["sideways"]) == (
+        p.restarts, p.steps_per_restart, p.sideways_limit)
+
+
+@pytest.mark.parametrize("sub, dest", [(sub, dest) for sub in sorted(PARSED)
+                                       for dest in SHARED if dest not in PARSED[sub][1]])
+def test_subcommand_refuses_a_shared_argument_it_does_not_take(sub, dest, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([sub, *PARSED[sub][0], *SHARED[dest]])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):

@@ -216,10 +216,18 @@ def test_exhaustive_min_pentagon_witness():
 
 def test_exhaustive_min_budget():
     # 2^28 and 3^21 states; k^C(n,2) has more than 4300 digits for the last
-    # two, so refusing must not format it
-    for n, k in ((8, 2), (7, 3), (200, 2), (135, 3)):
+    # three, and n itself for the very last, so refusing must format neither
+    for n, k in ((8, 2), (7, 3), (200, 2), (135, 3), (10**5000, 2)):
         with pytest.raises(BudgetError, match="exceed the budget of 33554432"):
             exhaustive_min(n, k)
+
+
+def test_minimize_edge_budget():
+    # C(257,2) = 32896 edges is the first n over 2^15; refused before any
+    # draw, and n is never formatted
+    for n in (257, 10**5000):
+        with pytest.raises(BudgetError, match="exceed the budget of 32768"):
+            minimize(SearchParams(n=n, k=3, seed=1))
 
 
 def test_exhaustive_min_tiny_sizes():

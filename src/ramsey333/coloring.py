@@ -9,7 +9,8 @@ it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  `fast_mono_counts` is the bit-parallel path: per
 color, vertex adjacencies are packed into integer bit rows, and the triangles
 through an edge (i, j) are the set bits of row_i AND row_j.  Rows are Python
-ints, so neither path has a vertex cap.
+ints, so the fast path has no vertex cap; `census`, whose list of monochromatic
+triples can grow to C(n, 3), refuses n above 294 (CENSUS_BUDGET) with BudgetError.
 
 Colorings are named tuples, immutable and hashable; every function here is pure.
 """
@@ -21,6 +22,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
+
+from .errors import BudgetError
+
+CENSUS_BUDGET = 1 << 22  # most triples C(n,3) that census walks: n <= 294
 
 
 class Color(IntEnum):
@@ -158,6 +163,8 @@ class TriangleCensus(NamedTuple):
 def census(c: EdgeColoring) -> TriangleCensus:
     """Brute-force triangle count over all C(n, 3) triples.  The oracle."""
     n = c.n
+    if comb(n, 3) > CENSUS_BUDGET:
+        raise BudgetError(f"C(n,3) triples exceed the budget of {CENSUS_BUDGET}")
     cols = c.colors
     mono = [0, 0, 0]
     bi = 0

@@ -17,7 +17,7 @@ coloring gives its edges, in edge-ordinal order, the top two bits of successive
 32-bit outputs, skipping values of k or more: for k in {2, 3} exactly the stream
 of `randrange(k)` (CPython's `_randbelow`), drawn w outputs per call as the
 little-endian words of `getrandbits(32 * w)`.  Each restart of `minimize` draws
-a fresh 64-bit subseed from the master stream.
+a fresh 64-bit subseed from the master stream just before it climbs.
 """
 
 from __future__ import annotations
@@ -43,16 +43,20 @@ class _SearchParamsFields(NamedTuple):
     sideways_limit: int = 50
 
 
+def _check_size(n: int, k: int) -> None:
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 class SearchParams(_SearchParamsFields):
     __slots__ = ()
     _make = classmethod(_make_via_new)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.k not in (2, 3):
-            raise ValueError("k must be 2 or 3")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_size(self.n, self.k)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if self.restarts < 1 or self.steps_per_restart < 1:
@@ -71,10 +75,7 @@ class SearchResult(NamedTuple):
 
 def random_coloring(n: int, k: int, seed: int) -> EdgeColoring:
     """Uniform random coloring over the first k colors; bit-identical per (n, k, seed)."""
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_size(n, k)
     draw = random.Random(seed).getrandbits
     m = comb(n, 2)
     colors = b""
@@ -103,9 +104,6 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
     gain = (rows[x][u] & rows[x][v]).bit_count()
     loss = (rows[cur][u] & rows[cur][v]).bit_count()
     return gain - loss
-
-
-_BIG = 1 << 30
 
 
 def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
@@ -204,20 +202,15 @@ def minimize(p: SearchParams) -> SearchResult:
     if comb(p.n, 2) > EDGE_BUDGET:
         raise BudgetError(f"C(n,2) edges exceed the budget of {EDGE_BUDGET}")
     master = random.Random(p.seed)
-    subseeds = [master.getrandbits(64) for _ in range(p.restarts)]
-    best: EdgeColoring | None = None
-    best_count = _BIG
     trace = []
     evals = 0
     for r in range(p.restarts):
-        start = random_coloring(p.n, p.k, subseeds[r])
+        start = random_coloring(p.n, p.k, master.getrandbits(64))
         count, coloring, ev = _climb(start, p.k, p.steps_per_restart, p.sideways_limit)
         trace.append(count)
         evals += ev
-        if count < best_count:
-            best_count = count
-            best = coloring
-    assert best is not None
+        if r == 0 or count < best_count:
+            best_count, best = count, coloring
     return SearchResult(best, best_count, tuple(trace), evals)
 
 
@@ -230,10 +223,7 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     Refuses instances whose raw state count k^C(n,2) exceeds STATE_BUDGET
     (2^25: k=2 up to n=7, k=3 up to n=6).
     """
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_size(n, k)
     # k^m >= 2^m, so m >= STATE_BUDGET.bit_length() already exceeds the budget
     # without forming a power that can run to thousands of digits.
     m = comb(n, 2)

@@ -130,7 +130,7 @@ def test_malformed_document_exit_code(monkeypatch, capsys):
     assert "error" in err
 
 
-def test_budget_exit_code(capsys):
+def test_budget_exit_code(tmp_path, capsys):
     # (7, 2) and (6, 3) are the largest instances the budget admits;
     # 2^C(200,2) has over 4300 digits
     for n, k in (("8", "2"), ("7", "3"), ("9", "3"), ("200", "2"), ("135", "3")):
@@ -142,6 +142,14 @@ def test_budget_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "exceed" in err
+    # n = 294 is the largest census the triple budget admits
+    k295 = tmp_path / "k295.txt"
+    k295.write_text("coloring/1\nn: 295\nk: 3\ncolors: " + "B" * (295 * 294 // 2) + "\n")
+    for argv in (["count"], ["verify", "--expect-mono", "0,0,0"]):
+        code, out, err = run(argv + [str(k295)], capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert "C(n,3) triples exceed the budget of 4194304" in err
 
 
 def test_exhaustive_json(capsys):

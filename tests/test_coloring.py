@@ -1,10 +1,12 @@
 """Core coloring type, census oracle, and the bit-parallel fast path."""
 
 import random
+from math import comb
 
 import pytest
 
 from ramsey333 import (
+    BudgetError,
     Color,
     EdgeColoring,
     census,
@@ -104,6 +106,13 @@ def test_census_conservation_and_mono_list():
         for i, j, k, col in cen.mono_list:
             assert c.color(i, j) == c.color(i, k) == c.color(j, k) == col
         assert tuple(sum(1 for t in cen.mono_list if t.color == x) for x in Color) == cen.mono
+
+
+def test_census_budget():
+    # C(295,3) = 4,235,315 triples is the first n over 2^22; refused before
+    # the walk, and n is never formatted
+    with pytest.raises(BudgetError, match=r"^C\(n,3\) triples exceed the budget of 4194304$"):
+        census(EdgeColoring(295, bytes(comb(295, 2))))
 
 
 def test_fast_mono_counts_matches_oracle():

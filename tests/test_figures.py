@@ -1,12 +1,14 @@
 """DOT and SVG export."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from ramsey333 import (
     Color,
     EdgeColoring,
+    construct_gf16,
     export_figure,
     random_coloring,
     twin_k17,
@@ -57,3 +59,13 @@ def test_twin_k17_highlighting():
     plain = export_figure(rep.coloring, format="svg")
     assert all('stroke-width="1.5"' in ln for ln in plain.splitlines()
                if ln.startswith("<line "))
+
+
+@pytest.mark.parametrize("name, make, highlight_mono", [
+    ("gf16_k16.svg", construct_gf16, False),
+    ("k17_five_triangles.svg", lambda: twin_k17(Color.BLUE).coloring, True),
+])
+def test_svg_matches_demo_figure(name, make, highlight_mono):
+    # the tracked demo figures pin the byte-stable SVG output
+    golden = (Path(__file__).parent.parent / "demos" / name).read_bytes()
+    assert export_figure(make(), format="svg", highlight_mono=highlight_mono).encode() == golden

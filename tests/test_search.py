@@ -128,6 +128,36 @@ def test_minimize_golden_trajectory(params, digest):
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
+def test_minimize_draws_each_subseed_as_its_restart_starts(monkeypatch):
+    # no list of p.restarts subseeds up front: stopped at its first climb,
+    # minimize has taken one draw from the master stream
+    generators = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            generators.append(self)
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    class Stop(Exception):
+        pass
+
+    def stop(start, *args):
+        raise Stop(start)
+
+    monkeypatch.setattr(search, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(search, "_climb", stop)
+    with pytest.raises(Stop) as stopped:
+        minimize(SearchParams(n=6, k=3, seed=5, restarts=1000))
+    assert generators[0].draws == 1
+    subseed = random.Random(5).getrandbits(64)
+    assert stopped.value.args[0] == random_coloring(6, 3, subseed)
+
+
 def test_minimize_result_is_consistent():
     p = SearchParams(n=7, k=2, seed=3, restarts=8, steps_per_restart=500, sideways_limit=30)
     res = minimize(p)

@@ -16,6 +16,7 @@ from ramsey333 import (
     census,
     complete_edge,
     construct_gf16,
+    cylinder_template,
     delete_vertex,
     edge_index,
     edge_list,
@@ -24,6 +25,7 @@ from ramsey333 import (
     extension_of_vertex,
     find_extensions,
     random_coloring,
+    solve_template,
     twin_k17,
 )
 
@@ -75,6 +77,14 @@ def test_gf16_k15_extension_is_unique():
     for v in (-1, 16):
         with pytest.raises(ValueError, match="out of range"):
             extension_of_vertex(construct_gf16(), v)
+
+
+def test_k16_hosts_have_no_extension():
+    # R(3,3,3) = 17: a triangle-free host has n <= 16, and a K_16 host's DFS
+    # dies out, so find_extensions is bounded even with limit=None
+    for host in (construct_gf16(), solve_template(cylinder_template(), limit=1)[0]):
+        assert host.n == 16
+        assert find_extensions(host) == []
 
 
 def test_find_extensions_limit():

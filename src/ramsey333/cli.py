@@ -142,7 +142,7 @@ def cmd_delete_vertex(args) -> int:
 
 def cmd_extend(args) -> int:
     c, _ = _load_coloring(args.file)
-    extensions = find_extensions(c, limit=args.limit)
+    extensions = find_extensions(c)
     spokes = ["".join("BRY"[x] for x in e) for e in extensions]
     if args.json:
         print(json.dumps({"count": len(extensions), "extensions": spokes}))
@@ -273,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delete-vertex", cmd_delete_vertex, "remove one vertex and its edges", file, out)
     p.add_argument("--vertex", type=int, required=True)
 
-    p = add("extend", cmd_extend, "list triangle-free one-vertex extensions", file, as_json)
-    p.add_argument("--limit", type=int, default=None)
+    add("extend", cmd_extend, "list triangle-free one-vertex extensions", file, as_json)
 
     p = add("assemble", cmd_assemble, "mount two extensions over a shared 15-vertex core", out)
     p.add_argument("--base", required=True)

@@ -31,6 +31,7 @@ from .errors import BudgetError
 
 STATE_BUDGET = 1 << 25  # most raw states k^C(n,2) that exhaustive_min enumerates
 EDGE_BUDGET = 1 << 15  # most edges C(n,2) that minimize climbs on: n <= 256
+WORK_BUDGET = 1 << 31  # most restarts * steps_per_restart * max(C(n,2), 256) per minimize
 _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
 
 
@@ -196,11 +197,14 @@ def minimize(p: SearchParams) -> SearchResult:
     """Restart hill climbing; returns the best coloring over all restarts.
 
     The incumbent is merged by (count, restart index), so the reported best
-    is the earliest restart that achieved the lowest count.  Refuses n whose
-    C(n,2) edges exceed EDGE_BUDGET (2^15: n up to 256) before drawing anything.
+    is the earliest restart that achieved the lowest count.  Before drawing
+    anything, refuses n whose C(n,2) edges exceed EDGE_BUDGET (2^15: n up to
+    256), and work over WORK_BUDGET (2^31; 256 floors the cost of a step).
     """
     if comb(p.n, 2) > EDGE_BUDGET:
         raise BudgetError(f"C(n,2) edges exceed the budget of {EDGE_BUDGET}")
+    if p.restarts * p.steps_per_restart * max(comb(p.n, 2), 256) > WORK_BUDGET:
+        raise BudgetError(f"restarts * steps * max(C(n,2),256) exceed the budget of {WORK_BUDGET}")
     master = random.Random(p.seed)
     trace = []
     evals = 0

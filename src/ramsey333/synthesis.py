@@ -54,7 +54,7 @@ def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
         raise NotTriangleFreeError(f"{prefix} {mono} monochromatic triangle(s)")
 
 
-def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[bytes]:
+def find_extensions(c: EdgeColoring) -> list[bytes]:
     """All spoke colorings whose one-vertex extension of c stays triangle-free.
 
     Depth-first over host vertices in index order, colors in order B < R < Y;
@@ -63,8 +63,6 @@ def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[bytes]:
     color x, so candidates are pruned with one bit-row intersection.
     Each extension is bytes of spoke colors, indexed by host vertex.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
     _require_triangle_free(c, "host coloring contains")
     rows = bit_rows(c)
     n = c.n
@@ -72,20 +70,17 @@ def find_extensions(c: EdgeColoring, limit: int | None = None) -> list[bytes]:
     spokes = bytearray(n)
     chosen = [0, 0, 0]  # per color, bitmask of vertices already given that spoke
 
-    def dfs(v: int) -> bool:
+    def dfs(v: int) -> None:
         if v == n:
             out.append(bytes(spokes))
-            return limit is not None and len(out) >= limit
+            return
         for x in (0, 1, 2):
             if chosen[x] & rows[x][v]:
                 continue
             spokes[v] = x
             chosen[x] |= 1 << v
-            done = dfs(v + 1)
+            dfs(v + 1)
             chosen[x] &= ~(1 << v)
-            if done:
-                return True
-        return False
 
     dfs(0)
     return out

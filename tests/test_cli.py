@@ -130,7 +130,7 @@ def test_malformed_document_exit_code(monkeypatch, capsys):
     assert "error" in err
 
 
-def test_budget_exit_code(tmp_path, capsys):
+def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     # (7, 2) and (6, 3) are the largest instances the budget admits;
     # 2^C(200,2) has over 4300 digits
     for n, k in (("8", "2"), ("7", "3"), ("9", "3"), ("200", "2"), ("135", "3")):
@@ -142,6 +142,14 @@ def test_budget_exit_code(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "exceed" in err
+    # 10^9 restarts, long or one step each, are over the work budget before any climb
+    monkeypatch.setattr("ramsey333.search._climb", None)
+    for extra in (["--n", "17"], ["--n", "2", "--steps", "1"]):
+        code, out, err = run(["search", "--k", "3", "--seed", "1",
+                              "--restarts", "1000000000", *extra], capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert "exceed the budget of 2147483648" in err
     # n = 294 is the largest census the triple budget admits
     k295 = tmp_path / "k295.txt"
     k295.write_text("coloring/1\nn: 295\nk: 3\ncolors: " + "B" * (295 * 294 // 2) + "\n")
@@ -178,16 +186,6 @@ def test_extend_on_triangled_host_exit_code(monkeypatch, capsys):
                        monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert "monochromatic" in err
-
-
-@pytest.mark.parametrize("limit", ["0", "-1"])
-def test_extend_limit_must_be_positive(monkeypatch, capsys, limit):
-    triangle_free_k3 = "coloring/1\nn: 3\nk: 2\ncolors: BBR\n"
-    code, out, err = run(["extend", "--limit", limit], stdin=triangle_free_k3,
-                         monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2
-    assert out == ""
-    assert "limit must be positive" in err
 
 
 def test_full_assembly_pipeline(tmp_path, capsys):
@@ -232,7 +230,7 @@ def test_complete_json(tmp_path, capsys):
     tmpl = tmp_path / "tmpl.txt"
     assert main(["construct", "--method", "gf16", "--out", str(g16)]) == 0
     assert main(["delete-vertex", str(g16), "--vertex", "0", "--out", str(k15)]) == 0
-    main(["extend", str(k15), "--limit", "1"])
+    main(["extend", str(k15)])  # the GF(16) K_15 has exactly one extension
     line, _ = capsys.readouterr()
     ext.write_text(line)
     main(["assemble", "--base", str(k15), "--ext-a", str(ext), "--ext-b", str(ext),
@@ -320,7 +318,7 @@ PARSED = {
     "verify": ([], {"file": "-", "expect_mono": "0,0,0", "json": False}),
     "count": ([], {"file": "-", "per_color": False, "list": False, "json": False}),
     "delete-vertex": (["--vertex", "0"], {"file": "-", "vertex": 0, "out": None}),
-    "extend": ([], {"file": "-", "limit": None, "json": False}),
+    "extend": ([], {"file": "-", "json": False}),
     "assemble": (["--base", "b", "--ext-a", "a", "--ext-b", "e"],
                  {"base": "b", "ext_a": "a", "ext_b": "e", "out": None}),
     "complete": (["--color", "B"], {"file": "-", "color": "B", "out": None, "json": False}),

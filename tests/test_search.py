@@ -260,6 +260,35 @@ def test_minimize_edge_budget():
             minimize(SearchParams(n=n, k=3, seed=1))
 
 
+def test_minimize_work_budget(monkeypatch):
+    # 10^9 restarts at the default 2000 steps, and 10^9 one-step restarts at
+    # n = 2, are refused before any climb; neither n nor the product is formatted
+    monkeypatch.setattr(search, "_climb", None)
+    for p in (SearchParams(n=17, k=3, seed=1, restarts=10**9),
+              SearchParams(n=2, k=3, seed=1, restarts=10**9, steps_per_restart=1)):
+        with pytest.raises(BudgetError) as refused:
+            minimize(p)
+        assert str(refused.value) == (
+            "restarts * steps * max(C(n,2),256) exceed the budget of 2147483648")
+
+
+def test_minimize_work_budget_admits_the_largest_callers(monkeypatch):
+    # the criterion-6 n=16 panel (200 * 20000 * 256) and the CLI defaults at
+    # n = 256 (20 * 2000 * C(256,2)) both reach their first climb
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(search, "_climb", stop)
+    for p in (SearchParams(n=16, k=3, seed=0, restarts=200, steps_per_restart=20_000,
+                           sideways_limit=200),
+              SearchParams(n=256, k=3, seed=1)):
+        with pytest.raises(Stop):
+            minimize(p)
+
+
 def test_exhaustive_min_tiny_sizes():
     assert exhaustive_min(1, 2)[0] == 0
     assert exhaustive_min(2, 3)[0] == 0

@@ -81,18 +81,10 @@ def test_gf16_k15_extension_is_unique():
 
 def test_k16_hosts_have_no_extension():
     # R(3,3,3) = 17: a triangle-free host has n <= 16, and a K_16 host's DFS
-    # dies out, so find_extensions is bounded even with limit=None
+    # dies out, so find_extensions is bounded on every host it accepts
     for host in (construct_gf16(), solve_template(cylinder_template(), limit=1)[0]):
         assert host.n == 16
         assert find_extensions(host) == []
-
-
-def test_find_extensions_limit():
-    host = EdgeColoring.from_string(2, "B")
-    assert find_extensions(host, limit=3) == find_extensions(host)[:3]
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            find_extensions(host, limit=bad)
 
 
 def test_extend_with_round_trip():

@@ -9,8 +9,9 @@ it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  `fast_mono_counts` is the bit-parallel path: per
 color, vertex adjacencies are packed into integer bit rows, and the triangles
 through an edge (i, j) are the set bits of row_i AND row_j.  Rows are Python
-ints, so the fast path has no vertex cap; `census`, whose list of monochromatic
-triples can grow to C(n, 3), refuses n above 294 (CENSUS_BUDGET) with BudgetError.
+ints, so the fast path has no vertex cap.  `census` keeps the coloring, not its
+triangles, so its memory is O(C(n, 2)); CENSUS_BUDGET bounds its walk's time
+by refusing n above 294 with BudgetError.
 
 Colorings are named tuples, immutable and hashable; every function here is pure.
 """
@@ -149,7 +150,24 @@ class TriangleCensus(NamedTuple):
     mono: tuple[int, int, int]  # per color, index = Color value
     bichromatic: int
     rainbow: int
-    mono_list: tuple[MonoTriangle, ...]
+    coloring: EdgeColoring
+
+    @property
+    def mono_list(self) -> tuple[MonoTriangle, ...]:
+        """The monochromatic triangles i < j < k in lexicographic order, from bit rows.
+
+        Each is a set bit above j of its edge (i, j)'s row intersection.  The rows
+        bypass bit_rows' cache, so reading the list keeps nothing alive."""
+        c = self.coloring
+        rows = bit_rows.__wrapped__(c)
+        out = []
+        for (i, j), x in zip(edge_list(c.n), c.colors):
+            common = (rows[x][i] & rows[x][j]) >> (j + 1)
+            while common:
+                low = common & -common
+                out.append(MonoTriangle(i, j, j + low.bit_length(), COLORS[x]))
+                common ^= low
+        return tuple(out)
 
     @property
     def total_mono(self) -> int:
@@ -169,7 +187,6 @@ def census(c: EdgeColoring) -> TriangleCensus:
     mono = [0, 0, 0]
     bi = 0
     rainbow = 0
-    mono_list: list[MonoTriangle] = []
     # base[i] + j is the ordinal of edge (i, j)
     base = [i * (2 * n - i - 1) // 2 - (i + 1) for i in range(n)]
     for i in range(n - 2):
@@ -182,12 +199,11 @@ def census(c: EdgeColoring) -> TriangleCensus:
                 cjk = cols[bj_base + k]
                 if cij == cik == cjk:
                     mono[cij] += 1
-                    mono_list.append(MonoTriangle(i, j, k, Color(cij)))
                 elif cij != cik and cik != cjk and cij != cjk:
                     rainbow += 1
                 else:
                     bi += 1
-    return TriangleCensus((mono[0], mono[1], mono[2]), bi, rainbow, tuple(mono_list))
+    return TriangleCensus((mono[0], mono[1], mono[2]), bi, rainbow, c)
 
 
 def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:

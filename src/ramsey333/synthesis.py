@@ -140,10 +140,9 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     colors = bytearray(d.bit_length() - 1 for d in t.domains)  # singleton mask -> color
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
-    cen = census(c)
     u, v = edge_list(t.n)[o]
-    through = sum(1 for tr in cen.mono_list if u in tr[:3] and v in tr[:3])
-    return AssemblyReport(Color(x), cen, through, c)
+    rows = bit_rows.__wrapped__(c)[x]  # uncached: leaves no entry in bit_rows' cache
+    return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count(), c)
 
 
 def twin_k17(x: Color, deleted_vertex: int = 0) -> AssemblyReport:

@@ -72,6 +72,15 @@ def test_twin_k17_count_pipe(monkeypatch, capsys):
     assert out.strip() == "(0,5,0)"
 
 
+def test_twin_k17_count_list_matches_golden(monkeypatch, capsys):
+    # the listing the console script must reproduce byte for byte
+    code, doc, _ = run(["twin-k17", "--color", "B"], capsys=capsys)
+    assert code == 0
+    code, out, _ = run(["count", "--list"], stdin=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "twin_k17_B_count.txt").read_text()
+
+
 def test_count_list_and_json(monkeypatch, capsys):
     code, out, _ = run(["count", "--json", "--list"], stdin=ALL_BLUE_K3,
                        monkeypatch=monkeypatch, capsys=capsys)

@@ -1,6 +1,7 @@
 """Core coloring type, census oracle, and the bit-parallel fast path."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from ramsey333 import (
     BudgetError,
     Color,
     EdgeColoring,
+    MonoTriangle,
     census,
     color_degree_profile,
     construct_gf16,
@@ -20,6 +22,7 @@ from ramsey333 import (
     permute_vertices,
     random_coloring,
 )
+from ramsey333.coloring import bit_rows
 
 ALL_B_K3 = EdgeColoring.from_string(3, "BBB")
 RAINBOW_K3 = EdgeColoring.from_string(3, "BRY")
@@ -106,6 +109,38 @@ def test_census_conservation_and_mono_list():
         for i, j, k, col in cen.mono_list:
             assert c.color(i, j) == c.color(i, k) == c.color(j, k) == col
         assert tuple(sum(1 for t in cen.mono_list if t.color == x) for x in Color) == cen.mono
+
+
+def test_mono_list_matches_a_triple_loop():
+    for n in range(1, 21):
+        for k in (2, 3):
+            c = random_coloring(n, k, 1000 * n + k)
+            expected = tuple(
+                MonoTriangle(i, j, l, c.color(i, j))
+                for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)
+                if c.color(i, j) == c.color(i, l) == c.color(j, l)
+            )
+            assert census(c).mono_list == expected
+
+
+def test_mono_list_adds_no_bit_rows_cache_entry():
+    cen = census(random_coloring(19, 3, 2024))
+    before = bit_rows.cache_info()
+    assert len(cen.mono_list) == cen.total_mono
+    assert bit_rows.cache_info() == before
+
+
+def test_census_memory_holds_no_triangle_list():
+    # one tuple per monochromatic triangle would be about 0.9 MB here
+    for seed in (1, 2, 3):
+        c = random_coloring(64, 2, seed)
+        tracemalloc.start()
+        try:
+            census(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_census_budget():

@@ -36,7 +36,7 @@ RECORDS = {
     "TriangleCensus": (
         lambda: census(EdgeColoring(3, b"\x00\x00\x00")),
         "TriangleCensus(mono=(1, 0, 0), bichromatic=0, rainbow=0, "
-        "mono_list=(MonoTriangle(i=0, j=1, k=2, color=<Color.BLUE: 0>),))",
+        r"coloring=EdgeColoring(n=3, colors=b'\x00\x00\x00'))",
         "mono",
     ),
     "SearchParams": (
@@ -64,7 +64,8 @@ RECORDS = {
     "AssemblyReport": (
         lambda: AssemblyReport(B, census(_coloring()), 0, _coloring()),
         "AssemblyReport(added_edge_color=<Color.BLUE: 0>, census=TriangleCensus("
-        "mono=(0, 0, 0), bichromatic=1, rainbow=0, mono_list=()), "
+        "mono=(0, 0, 0), bichromatic=1, rainbow=0, "
+        r"coloring=EdgeColoring(n=3, colors=b'\x00\x00\x01')), "
         r"triangles_through_new_edge=0, coloring=EdgeColoring(n=3, colors=b'\x00\x00\x01'))",
         "census",
     ),

@@ -28,6 +28,8 @@ from ramsey333 import (
     solve_template,
     twin_k17,
 )
+from ramsey333.coloring import bit_rows
+from ramsey333.templates import FULL
 
 # The 15-vertex core of the finite-field coloring extends back to a
 # triangle-free K16 in exactly one way: the spokes it lost.  Regression
@@ -200,6 +202,24 @@ def test_overlap_law_with_distinct_extensions():
             expected[x] = overlap
             assert rep.census.mono == tuple(expected)
             assert rep.triangles_through_new_edge == rep.census.total_mono
+
+
+def test_triangles_through_new_edge_match_the_listed_triangles():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(2, 13)
+        c = random_coloring(n, 3, rng.getrandbits(64))
+        o = rng.randrange(len(c.colors))
+        domains = bytearray(ColoringTemplate.from_coloring(c).domains)
+        domains[o] = FULL
+        t = ColoringTemplate(n, bytes(domains))
+        u, v = edge_list(n)[o]
+        for x in COLORS:
+            before = bit_rows.cache_info()
+            rep = complete_edge(t, x)
+            assert bit_rows.cache_info() == before
+            listed = sum(1 for tr in rep.census.mono_list if u in tr[:3] and v in tr[:3])
+            assert rep.triangles_through_new_edge == listed
 
 
 def test_twin_k17_counts():

@@ -6,12 +6,11 @@ coloring is a byte string of length C(n, 2) and serializes canonically.
 
 Triangle counting comes in two flavors.  `census` is the brute-force oracle:
 it walks all C(n, 3) vertex triples and classifies each as monochromatic,
-bichromatic, or rainbow.  `fast_mono_counts` is the bit-parallel path: per
-color, vertex adjacencies are packed into integer bit rows, and the triangles
-through an edge (i, j) are the set bits of row_i AND row_j.  Rows are Python
-ints, so the fast path has no vertex cap.  `census` keeps the coloring, not its
-triangles, so its memory is O(C(n, 2)); CENSUS_BUDGET bounds its walk's time
-by refusing n above 294 with BudgetError.
+bichromatic, or rainbow.  It keeps the coloring, not its triangles, so its
+memory is O(C(n, 2)); CENSUS_BUDGET bounds its time (n <= 294).
+`fast_mono_counts` is the bit-parallel path: `bit_rows` packs each color's
+adjacencies into Python ints (no vertex cap), caching the last four colorings,
+and the triangles through an edge (i, j) are the set bits of row_i AND row_j.
 
 Colorings are named tuples, immutable and hashable; every function here is pure.
 """
@@ -61,7 +60,7 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a pipeline touches a few sizes; a benchmark round at most six
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """All edges of K_n in ordinal order."""
     return tuple(combinations(range(n), 2))
@@ -77,6 +76,22 @@ class MonoTriangle(NamedTuple):
 def _make_via_new(cls, fields):
     """`_make`, and so `_replace`, via `__new__`; namedtuple's own skips it and calls len()."""
     return cls(*fields)
+
+
+def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
+    """`data` as the C(n, 2) bytes of K_n's edges, each in `allowed`; `noun` names one."""
+    if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
+        raise ValueError("vertex count must be at least 1 and below 10**18")
+    if isinstance(data, int):  # bytes(3) would be three zero bytes
+        raise TypeError(f"{noun}s must be a byte sequence, not an int")
+    data = bytes(data)  # a bytearray would be unhashable
+    m = comb(n, 2)
+    if len(data) != m:
+        raise ValueError(f"need {m} {noun}s for n={n}, got {len(data)}")
+    if bad := data.translate(None, allowed):
+        o = data.index(bad[0])
+        raise ValueError(f"{noun} at edge ordinal {o} must be {rule}, got {bad[0]}")
+    return data
 
 
 class _EdgeColoringFields(NamedTuple):
@@ -96,16 +111,7 @@ class EdgeColoring(_EdgeColoringFields):
     _make = classmethod(_make_via_new)
 
     def __new__(cls, n, colors):
-        if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
-            raise ValueError("vertex count must be at least 1 and below 10**18")
-        if isinstance(colors, int):  # bytes(3) would be three zero bytes
-            raise TypeError("colors must be a sequence of color values, not an int")
-        colors = bytes(colors)  # a bytearray would be unhashable
-        expected = comb(n, 2)
-        if len(colors) != expected:
-            raise ValueError(f"need {expected} edge colors for n={n}, got {len(colors)}")
-        if colors.translate(None, b"\x00\x01\x02"):
-            raise ValueError("edge colors must be 0 (B), 1 (R) or 2 (Y)")
+        colors = _edge_bytes(n, colors, "edge color", b"\x00\x01\x02", "0 (B), 1 (R) or 2 (Y)")
         return super().__new__(cls, n, colors)
 
     @classmethod
@@ -135,7 +141,7 @@ def toggle(rows: list[list[int]], i: int, j: int, x: int) -> None:
     rows[x][j] ^= 1 << i
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=4)  # re-reads come within one call chain; a bound keeps memory flat
 def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     """Per-color adjacency rows: bit j of rows[x][i] is set iff edge (i,j) has color x."""
     rows = [[0] * c.n for _ in range(3)]
@@ -154,12 +160,11 @@ class TriangleCensus(NamedTuple):
 
     @property
     def mono_list(self) -> tuple[MonoTriangle, ...]:
-        """The monochromatic triangles i < j < k in lexicographic order, from bit rows.
+        """The monochromatic triangles i < j < k in lexicographic order, from bit_rows.
 
-        Each is a set bit above j of its edge (i, j)'s row intersection.  The rows
-        bypass bit_rows' cache, so reading the list keeps nothing alive."""
+        Each is a set bit above j of its edge (i, j)'s row intersection."""
         c = self.coloring
-        rows = bit_rows.__wrapped__(c)
+        rows = bit_rows(c)
         out = []
         for (i, j), x in zip(edge_list(c.n), c.colors):
             common = (rows[x][i] & rows[x][j]) >> (j + 1)

@@ -2,7 +2,7 @@
 
 
 class BudgetError(Exception):
-    """The requested enumeration exceeds the configured state budget."""
+    """Requested work exceeds a budget constant: states, triples, edges, work or DFS nodes."""
 
 
 class FormatError(ValueError):

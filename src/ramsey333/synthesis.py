@@ -133,15 +133,13 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
         raise ValueError("cannot complete a template with couplings")
     opens = t.open_ordinals()
     if len(opens) != 1 or t.domains[opens[0]] != FULL:
-        raise ValueError(
-            "template must have exactly one open edge with the full color domain"
-        )
+        raise ValueError("template must have exactly one open edge with the full color domain")
     o = opens[0]
     colors = bytearray(d.bit_length() - 1 for d in t.domains)  # singleton mask -> color
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
     u, v = edge_list(t.n)[o]
-    rows = bit_rows.__wrapped__(c)[x]  # uncached: leaves no entry in bit_rows' cache
+    rows = bit_rows(c)[x]
     return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count(), c)
 
 

@@ -14,17 +14,18 @@ that closes a monochromatic triangle or gives a vertex a sixth edge of one
 color is pruned.  After each assignment a forward check (Haralick & Elliott,
 1980) looks at the undecided edges at the vertices it touched and backtracks
 as soon as one has no usable color left.  The search order is fixed, so the
-first solution is canonical and reproducible.
+first solution is canonical and reproducible; SOLVE_BUDGET caps its DFS nodes.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _make_via_new, edge_list, toggle
+from .coloring import Color, EdgeColoring, _edge_bytes, _make_via_new, edge_list, toggle
+from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
+SOLVE_BUDGET = 1 << 18  # most DFS nodes (edge decisions) one solve_template call visits
 
 
 class Coupling(NamedTuple):
@@ -48,22 +49,12 @@ class ColoringTemplate(_ColoringTemplateFields):
     _make = classmethod(_make_via_new)
 
     def __new__(cls, n, domains, couplings=()):
-        if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
-            raise ValueError("vertex count must be at least 1 and below 10**18")
-        if isinstance(domains, int):  # bytes(3) would be three empty domains
-            raise TypeError("domains must be a sequence of color masks, not an int")
-        domains = bytes(domains)  # a bytearray would be unhashable
-        m = comb(n, 2)
-        if len(domains) != m:
-            raise ValueError(f"need {m} domains for n={n}, got {len(domains)}")
-        if bad := domains.translate(None, b"\x01\x02\x03\x04\x05\x06\x07"):
-            o = domains.index(bad[0])
-            raise ValueError(f"domain at edge ordinal {o} must be a color mask 1-7, got {bad[0]}")
+        domains = _edge_bytes(n, domains, "domain", bytes(range(1, 8)), "a color mask 1-7")
         couplings = tuple(cp if type(cp) is Coupling else Coupling(*cp) for cp in couplings)
         for cp in couplings:
             if not type(cp.src) is type(cp.dst) is type(cp.shift) is int:
                 raise ValueError(f"coupling fields must be ints: {cp}")
-            if not (0 <= cp.src < m and 0 <= cp.dst < m):
+            if not (0 <= cp.src < len(domains) and 0 <= cp.dst < len(domains)):
                 raise ValueError(f"coupling ordinal out of range: {cp}")
             if cp.src == cp.dst:
                 raise ValueError(f"coupling ties an edge to itself: {cp}")
@@ -108,11 +99,12 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
 
     Deterministic: edges in ordinal order, colors in order B < R < Y,
     couplings propagated eagerly.  An empty list means no completion exists.
+    Raises BudgetError mid-search at node SOLVE_BUDGET + 1 (50 cylinder solutions visit 30,201).
     """
     if limit < 1:
         raise ValueError("limit must be positive")
     n = t.n
-    m = comb(n, 2)
+    m = len(t.domains)
     edges = edge_list(n)
     partners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for cp in t.couplings:
@@ -128,6 +120,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     rows = [[0] * n for _ in range(3)]  # per-color adjacency over assigned edges
     solutions: list[EdgeColoring] = []
     domains = t.domains
+    tickets = iter(range(SOLVE_BUDGET))  # one per DFS node
 
     def feasible_mask(e: int) -> int:
         """Colors in e's domain that close no triangle and give no end a sixth edge of one color.
@@ -170,6 +163,8 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
         return True
 
     def dfs(start: int) -> bool:
+        if next(tickets, None) is None:
+            raise BudgetError(f"DFS nodes exceed the budget of {SOLVE_BUDGET}")
         o = start
         while o < m and assigned[o] != UNSET:
             o += 1

@@ -56,8 +56,8 @@ def test_coloring_validation():
         EdgeColoring(3, b"\x00\x00\x03")  # not a color
     with pytest.raises(ValueError):
         EdgeColoring(0, b"")
-    for bad in (bytearray(b"\x00\x03\x00"), [0, 0, 3]):
-        with pytest.raises(ValueError, match="edge colors must be"):
+    for bad, o in ((bytearray(b"\x00\x03\x00"), 1), ([0, 0, 3], 2)):
+        with pytest.raises(ValueError, match=rf"ordinal {o} must be 0 \(B\), 1 \(R\) or 2 \(Y\), got 3"):
             EdgeColoring(3, bad)
 
 
@@ -123,11 +123,18 @@ def test_mono_list_matches_a_triple_loop():
             assert census(c).mono_list == expected
 
 
-def test_mono_list_adds_no_bit_rows_cache_entry():
-    cen = census(random_coloring(19, 3, 2024))
-    before = bit_rows.cache_info()
-    assert len(cen.mono_list) == cen.total_mono
-    assert bit_rows.cache_info() == before
+def test_bit_rows_cache_keeps_rows_of_a_bounded_number_of_colorings():
+    # 40 distinct colorings through both cached readers; census walks n=40, not n=200, for time
+    for seed in range(40):
+        fast_mono_counts(random_coloring(200, 3, seed))
+        census(random_coloring(40, 3, seed)).mono_list
+    assert bit_rows.cache_info().currsize <= 4
+
+
+def test_edge_list_cache_keeps_a_bounded_number_of_sizes():
+    for n in range(1, 41):
+        assert len(edge_list(n)) == comb(n, 2)
+    assert edge_list.cache_info().currsize <= 8
 
 
 def test_census_memory_holds_no_triangle_list():

@@ -28,7 +28,6 @@ from ramsey333 import (
     solve_template,
     twin_k17,
 )
-from ramsey333.coloring import bit_rows
 from ramsey333.templates import FULL
 
 # The 15-vertex core of the finite-field coloring extends back to a
@@ -215,9 +214,7 @@ def test_triangles_through_new_edge_match_the_listed_triangles():
         t = ColoringTemplate(n, bytes(domains))
         u, v = edge_list(n)[o]
         for x in COLORS:
-            before = bit_rows.cache_info()
             rep = complete_edge(t, x)
-            assert bit_rows.cache_info() == before
             listed = sum(1 for tr in rep.census.mono_list if u in tr[:3] and v in tr[:3])
             assert rep.triangles_through_new_edge == listed
 

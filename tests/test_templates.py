@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from ramsey333 import (
+    BudgetError,
     Color,
     ColoringTemplate,
     Coupling,
@@ -258,3 +259,17 @@ def test_solver_matches_brute_force_in_dfs_order(seed):
         expected = _brute_force_solutions(t)
         assert solve_template(t, limit=10**6) == expected
         assert solve_template(t, limit=2) == expected[:2]
+
+
+def test_solve_template_refuses_past_its_node_budget(monkeypatch):
+    # the cylinder's first solution takes exactly 1527 DFS nodes
+    t = cylinder_template()
+    first = solve_template(t)
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 1527)
+    assert solve_template(t) == first
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 1526)
+    with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 1526$"):
+        solve_template(t)
+    open_k10 = ColoringTemplate(10, bytes([FULL]) * comb(10, 2))
+    with pytest.raises(BudgetError):
+        solve_template(open_k10)  # refused mid-search at 1526 nodes

@@ -12,11 +12,12 @@ memory is O(C(n, 2)); CENSUS_BUDGET bounds its time (n <= 294).
 adjacencies into Python ints (no vertex cap), caching the last four colorings,
 and the triangles through an edge (i, j) are the set bits of row_i AND row_j.
 
-Colorings are named tuples, immutable and hashable; every function here is pure.
+Colorings are named tuples, immutable, hashable and re-checked on `_replace`; functions are pure.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
@@ -73,9 +74,11 @@ class MonoTriangle(NamedTuple):
     color: Color
 
 
-def _make_via_new(cls, fields):
-    """`_make`, and so `_replace`, via `__new__`; namedtuple's own skips it and calls len()."""
-    return cls(*fields)
+def _record(name: str, fields: str, **kwargs) -> type:
+    """namedtuple `name` whose `_make`, and so `_replace`, runs the subclass's `__new__` checks."""
+    base = namedtuple(name, fields, **kwargs)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
@@ -94,12 +97,7 @@ def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
     return data
 
 
-class _EdgeColoringFields(NamedTuple):
-    n: int
-    colors: bytes
-
-
-class EdgeColoring(_EdgeColoringFields):
+class EdgeColoring(_record("EdgeColoring", "n colors")):
     """Total assignment of colors to the C(n, 2) edges of K_n.
 
     `colors` holds Color values (0, 1, 2) in edge-ordinal order; any bytes-like
@@ -108,7 +106,6 @@ class EdgeColoring(_EdgeColoringFields):
     """
 
     __slots__ = ()
-    _make = classmethod(_make_via_new)
 
     def __new__(cls, n, colors):
         colors = _edge_bytes(n, colors, "edge color", b"\x00\x01\x02", "0 (B), 1 (R) or 2 (Y)")

@@ -26,22 +26,13 @@ import random
 from math import comb
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _make_via_new, bit_rows, edge_index, edge_list, toggle
+from .coloring import Color, EdgeColoring, _record, bit_rows, edge_index, edge_list, toggle
 from .errors import BudgetError
 
 STATE_BUDGET = 1 << 25  # most raw states k^C(n,2) that exhaustive_min enumerates
 EDGE_BUDGET = 1 << 15  # most edges C(n,2) that minimize climbs on: n <= 256
 WORK_BUDGET = 1 << 31  # most restarts * steps_per_restart * max(C(n,2), 256) per minimize
 _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
-
-
-class _SearchParamsFields(NamedTuple):
-    n: int
-    k: int
-    seed: int
-    restarts: int = 20
-    steps_per_restart: int = 2000
-    sideways_limit: int = 50
 
 
 def _check_size(n: int, k: int) -> None:
@@ -51,15 +42,20 @@ def _check_size(n: int, k: int) -> None:
         raise ValueError("n must be positive")
 
 
-class SearchParams(_SearchParamsFields):
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:  # random.Random would seed -s as s
+        raise ValueError("seed must fit in 64 bits")
+
+
+class SearchParams(_record(
+    "SearchParams", "n k seed restarts steps_per_restart sideways_limit", defaults=(20, 2000, 50)
+)):
     __slots__ = ()
-    _make = classmethod(_make_via_new)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_size(self.n, self.k)
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.restarts < 1 or self.steps_per_restart < 1:
             raise ValueError("restarts and steps_per_restart must be positive")
         if self.sideways_limit < 0:
@@ -77,6 +73,7 @@ class SearchResult(NamedTuple):
 def random_coloring(n: int, k: int, seed: int) -> EdgeColoring:
     """Uniform random coloring over the first k colors; bit-identical per (n, k, seed)."""
     _check_size(n, k)
+    _check_seed(seed)
     draw = random.Random(seed).getrandbits
     m = comb(n, 2)
     colors = b""

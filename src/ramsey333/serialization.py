@@ -21,9 +21,8 @@ number of open edges.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
-from .coloring import EdgeColoring, _make_via_new
+from .coloring import EdgeColoring, _record
 from .errors import FormatError
 from .templates import ColoringTemplate
 
@@ -37,18 +36,10 @@ def _one_line(s: str) -> bool:
     return "".join(s.splitlines()) == s
 
 
-class _ColoringDocumentFields(NamedTuple):
-    n: int
-    k: int
-    colors: str
-    meta: dict[str, str]
-
-
-class ColoringDocument(_ColoringDocumentFields):
-    """Parsed form of one document: counts, colors string, provenance map."""
+class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
+    """Parsed form of one document: counts, colors string, provenance map (a copy)."""
 
     __slots__ = ()
-    _make = classmethod(_make_via_new)
 
     def __new__(cls, n, k, colors, meta=None):
         if k not in (2, 3):
@@ -64,9 +55,9 @@ class ColoringDocument(_ColoringDocumentFields):
         bad = set(colors) - set(allowed)
         if bad:
             raise FormatError(f"colors string uses characters outside {allowed!r}: {sorted(bad)}")
-        meta = {} if meta is None else meta
-        # Whatever the reader would split or strip is refused, so every document
-        # written reads back equal.
+        # A copy, or a later edit of the caller's dict would skip these checks.  Whatever
+        # the reader would split or strip is refused, so every document written reads back equal.
+        meta = {} if meta is None else dict(meta)
         for key, value in meta.items():
             if not isinstance(key, str) or not key or any(ch.isspace() or ch == ":" for ch in key):
                 raise FormatError(f"bad meta key: {key!r}")
@@ -102,7 +93,7 @@ def serialize(
     """
     if k is None:
         k = max(2, 1 + max(c.colors, default=0))
-    return ColoringDocument(c.n, k, c.color_string(), dict(meta or {})).to_text()
+    return ColoringDocument(c.n, k, c.color_string(), meta).to_text()
 
 
 def parse_document(text: str) -> ColoringDocument:

@@ -31,12 +31,15 @@ from .templates import FULL, ColoringTemplate
 
 
 class AssemblyReport(NamedTuple):
-    """Result of closing the open edge of an assembled template."""
+    """Result of closing the open edge of an assembled template; its coloring is the census's."""
 
     added_edge_color: Color
     census: TriangleCensus
     triangles_through_new_edge: int
-    coloring: EdgeColoring
+
+    @property
+    def coloring(self) -> EdgeColoring:
+        return self.census.coloring
 
 
 def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
@@ -140,7 +143,7 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     c = EdgeColoring(t.n, bytes(colors))
     u, v = edge_list(t.n)[o]
     rows = bit_rows(c)[x]
-    return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count(), c)
+    return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count())
 
 
 def twin_k17(x: Color, deleted_vertex: int = 0) -> AssemblyReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _edge_bytes, _make_via_new, edge_list, toggle
+from .coloring import Color, EdgeColoring, _edge_bytes, _record, edge_list, toggle
 from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
@@ -36,17 +36,10 @@ class Coupling(NamedTuple):
     shift: int
 
 
-class _ColoringTemplateFields(NamedTuple):
-    n: int
-    domains: bytes
-    couplings: tuple[Coupling, ...]
-
-
-class ColoringTemplate(_ColoringTemplateFields):
+class ColoringTemplate(_record("ColoringTemplate", "n domains couplings")):
     """Partial coloring of K_n: one color mask, 1 to 7, per edge ordinal."""
 
     __slots__ = ()
-    _make = classmethod(_make_via_new)
 
     def __new__(cls, n, domains, couplings=()):
         domains = _edge_bytes(n, domains, "domain", bytes(range(1, 8)), "a color mask 1-7")

@@ -26,6 +26,15 @@ def test_random_coloring_determinism():
     assert random_coloring(10, 3, 99) != random_coloring(10, 3, 100)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_random_coloring_refuses_the_seeds_search_params_refuses(seed):
+    # random.Random seeds with abs(seed): -5 would draw the coloring of 5
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        random_coloring(17, 3, seed)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        SearchParams(17, 3, seed)
+
+
 def test_random_coloring_is_the_randrange_stream(monkeypatch):
     draws = []
 

@@ -25,12 +25,7 @@ from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
 from .search import SearchParams, exhaustive_min, minimize
 from .serialization import parse_document, serialize, serialize_template
-from .synthesis import (
-    assemble,
-    complete_edge,
-    find_extensions,
-    twin_k17,
-)
+from .synthesis import assemble, complete_edge, find_extensions, twin_k17
 from .templates import solve_template
 
 EXIT_OK = 0

@@ -3,14 +3,15 @@
 Every edge of K_n carries one of three colors: blue, red, yellow.  Edges are
 numbered by the lexicographic ordinal of the pair (i, j) with i < j, so a
 coloring is a byte string of length C(n, 2) and serializes canonically.
+Walks over that order iterate combinations(range(n), 2); no pair table is kept.
 
 Triangle counting comes in two flavors.  `census` is the brute-force oracle:
 it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  It keeps the coloring, not its triangles, so its
 memory is O(C(n, 2)); CENSUS_BUDGET bounds its time (n <= 294).
-`fast_mono_counts` is the bit-parallel path: `bit_rows` packs each color's
-adjacencies into Python ints (no vertex cap), caching the last four colorings,
-and the triangles through an edge (i, j) are the set bits of row_i AND row_j.
+`fast_mono_counts` is the bit-parallel path: `bit_rows`, the package's one cache
+(last four colorings), packs each color's adjacencies into Python ints (no vertex
+cap), and the triangles through an edge (i, j) are the set bits of row_i AND row_j.
 
 Colorings are named tuples, immutable, hashable and re-checked on `_replace`; functions are pure.
 """
@@ -61,10 +62,18 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=8)  # a pipeline touches a few sizes; a benchmark round at most six
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
-    """All edges of K_n in ordinal order."""
+    """All edges of K_n in ordinal order, as a fresh tuple; a walk needs only combinations."""
     return tuple(combinations(range(n), 2))
+
+
+def _edge_at(o: int, n: int) -> tuple[int, int]:
+    """The edge (i, j) of ordinal o, 0 <= o < C(n, 2): edge_index's inverse in O(n)."""
+    for i in range(n - 1):
+        if o < n - 1 - i:
+            return i, i + 1 + o
+        o -= n - 1 - i
+    raise ValueError(f"edge ordinal out of range for n={n}")
 
 
 class MonoTriangle(NamedTuple):
@@ -142,7 +151,7 @@ def toggle(rows: list[list[int]], i: int, j: int, x: int) -> None:
 def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     """Per-color adjacency rows: bit j of rows[x][i] is set iff edge (i,j) has color x."""
     rows = [[0] * c.n for _ in range(3)]
-    for (i, j), x in zip(edge_list(c.n), c.colors):
+    for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
         toggle(rows, i, j, x)
     return tuple(tuple(r) for r in rows)
 
@@ -163,7 +172,7 @@ class TriangleCensus(NamedTuple):
         c = self.coloring
         rows = bit_rows(c)
         out = []
-        for (i, j), x in zip(edge_list(c.n), c.colors):
+        for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
             common = (rows[x][i] & rows[x][j]) >> (j + 1)
             while common:
                 low = common & -common
@@ -216,7 +225,7 @@ def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
     """
     rows = bit_rows(c)
     counts = [0, 0, 0]
-    for (i, j), x in zip(edge_list(c.n), c.colors):
+    for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
         counts[x] += ((rows[x][i] & rows[x][j]) >> (j + 1)).bit_count()
     return (counts[0], counts[1], counts[2])
 
@@ -236,7 +245,7 @@ def permute_vertices(c: EdgeColoring, rho: Sequence[int]) -> EdgeColoring:
     if sorted(rho) != list(range(c.n)):
         raise ValueError("vertex permutation must be a bijection on range(n)")
     out = bytearray(len(c.colors))
-    for o, (i, j) in enumerate(edge_list(c.n)):
+    for o, (i, j) in enumerate(combinations(range(c.n), 2)):
         a, b = rho[i], rho[j]
         if a > b:
             a, b = b, a
@@ -251,7 +260,8 @@ def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
     if c.n < 2:
         raise ValueError("cannot delete a vertex from K_1")
     # Relabelling the kept vertices is monotone, so the edges avoiding v stay in ordinal order.
-    return EdgeColoring(c.n - 1, bytes(x for e, x in zip(edge_list(c.n), c.colors) if v not in e))
+    edges = combinations(range(c.n), 2)
+    return EdgeColoring(c.n - 1, bytes(x for e, x in zip(edges, c.colors) if v not in e))
 
 
 def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:

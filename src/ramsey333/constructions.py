@@ -22,11 +22,10 @@ fixed search order is the canonical one).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .coloring import COLORS, Color, EdgeColoring, edge_index, edge_list
+from .coloring import COLORS, Color, EdgeColoring, edge_index
 from .templates import FULL, ColoringTemplate, Coupling
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
@@ -38,7 +37,6 @@ def sigma(x: Color) -> Color:
     return Color((x + 1) % 3)
 
 
-@lru_cache(maxsize=1)
 def cubic_classes() -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """The 3 cubic-residue cosets: class j = {x^(3k+j) : k = 0..4}."""
     powers, a = [], 1
@@ -54,7 +52,7 @@ def construct_gf16() -> EdgeColoring:
     """Triangle-free K_16: vertex = field element, edge color = class of u XOR w."""
     # Residue class j colors its differences COLORS[j], fixed for canonical output.
     color_of = {d: x for x, cls in zip(COLORS, cubic_classes()) for d in cls}
-    return EdgeColoring(16, bytes(color_of[u ^ w] for u, w in edge_list(16)))
+    return EdgeColoring(16, bytes(color_of[u ^ w] for u, w in combinations(range(16), 2)))
 
 
 def cylinder_template() -> ColoringTemplate:

@@ -11,8 +11,9 @@ C(n, 2).
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
-from .coloring import Color, EdgeColoring, census, edge_list
+from .coloring import Color, EdgeColoring, census
 
 DOT_COLORS = {Color.BLUE: "blue", Color.RED: "red", Color.YELLOW: "yellow"}
 SVG_COLORS = {Color.BLUE: "#1a6fd4", Color.RED: "#d42a2a", Color.YELLOW: "#d4a017"}
@@ -40,7 +41,7 @@ def export_figure(c: EdgeColoring, format: str = "svg", highlight_mono: bool = F
 
 def _export_dot(c: EdgeColoring) -> str:
     lines = [f"graph k{c.n} {{", "  node [shape=circle];"]
-    for (i, j), b in zip(edge_list(c.n), c.colors):
+    for (i, j), b in zip(combinations(range(c.n), 2), c.colors):
         lines.append(f'  {i} -- {j} [color="{DOT_COLORS[Color(b)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -68,7 +69,7 @@ def _export_svg(c: EdgeColoring, highlight_mono: bool) -> str:
         f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
         f'<rect width="{_SIZE:.0f}" height="{_SIZE:.0f}" fill="white"/>',
     ]
-    for (i, j), b in zip(edge_list(n), c.colors):
+    for (i, j), b in zip(combinations(range(n), 2), c.colors):
         (x1, y1), (x2, y2) = pos[i], pos[j]
         width = _HIGHLIGHT_WIDTH if (i, j) in thick_edges else _BASE_WIDTH
         out.append(

@@ -26,11 +26,13 @@ import random
 from math import comb
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _record, bit_rows, edge_index, edge_list, toggle
+from .coloring import (
+    Color, EdgeColoring, _edge_at, _record, bit_rows, edge_index, edge_list, toggle
+)
 from .errors import BudgetError
 
 STATE_BUDGET = 1 << 25  # most raw states k^C(n,2) that exhaustive_min enumerates
-EDGE_BUDGET = 1 << 15  # most edges C(n,2) that minimize climbs on: n <= 256
+EDGE_BUDGET = 1 << 15  # most edges C(n,2) that random_coloring draws and minimize climbs: n <= 256
 WORK_BUDGET = 1 << 31  # most restarts * steps_per_restart * max(C(n,2), 256) per minimize
 _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high bits
 
@@ -74,8 +76,10 @@ def random_coloring(n: int, k: int, seed: int) -> EdgeColoring:
     """Uniform random coloring over the first k colors; bit-identical per (n, k, seed)."""
     _check_size(n, k)
     _check_seed(seed)
-    draw = random.Random(seed).getrandbits
     m = comb(n, 2)
+    if m > EDGE_BUDGET:  # refused before any draw; n is never formatted
+        raise BudgetError(f"C(n,2) edges exceed the budget of {EDGE_BUDGET}")
+    draw = random.Random(seed).getrandbits
     colors = b""
     while len(colors) < m:
         words = (m - len(colors)) * 4 // k + 1  # enough to expect the rest
@@ -97,7 +101,7 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
     x = Color(x)
     if x == cur:
         raise ValueError("recoloring an edge with its current color is a no-op")
-    u, v = edge_list(c.n)[edge]
+    u, v = _edge_at(edge, c.n)
     rows = bit_rows(c)
     gain = (rows[x][u] & rows[x][v]).bit_count()
     loss = (rows[cur][u] & rows[cur][v]).bit_count()

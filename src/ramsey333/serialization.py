@@ -74,19 +74,12 @@ class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
         return ColoringTemplate(self.n, bytes(map(_MASK_CHARS.index, self.colors)))
 
     def to_text(self) -> str:
-        lines = [
-            FORMAT_TAG,
-            f"n: {self.n}",
-            f"k: {self.k}",
-            f"colors: {self.colors}",
-        ]
+        lines = [FORMAT_TAG, f"n: {self.n}", f"k: {self.k}", f"colors: {self.colors}"]
         lines += [f"meta.{key}: {self.meta[key]}" for key in sorted(self.meta)]
         return "\n".join(lines) + "\n"
 
 
-def serialize(
-    c: EdgeColoring, k: int | None = None, meta: dict[str, str] | None = None
-) -> str:
+def serialize(c: EdgeColoring, k: int | None = None, meta: dict[str, str] | None = None) -> str:
     """Canonical document text for a coloring; byte-stable for equal inputs.
 
     k defaults to the fewest colors (at least 2) that cover the coloring.
@@ -138,5 +131,4 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
     chars = "".join(_MASK_CHARS[d] for d in t.domains)
     if (o := chars.find(".")) >= 0:
         raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")
-    doc = ColoringDocument(t.n, 3, chars, dict(meta or {}))
-    return doc.to_text()
+    return ColoringDocument(t.n, 3, chars, meta).to_text()

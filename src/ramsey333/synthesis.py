@@ -13,16 +13,17 @@ spoke color class: five triangles, all in the chosen color.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .coloring import (
     Color,
     EdgeColoring,
     TriangleCensus,
+    _edge_at,
     bit_rows,
     census,
     delete_vertex,
-    edge_list,
     fast_mono_counts,
 )
 from .constructions import construct_gf16
@@ -47,7 +48,7 @@ def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
     if not 0 <= v < c.n:
         raise ValueError(f"vertex {v} out of range for n={c.n}")
     # The edges at v come in ordinal order: (u, v) by u below v, then (v, w) by w above it.
-    return bytes(x for e, x in zip(edge_list(c.n), c.colors) if v in e)
+    return bytes(x for e, x in zip(combinations(range(c.n), 2), c.colors) if v in e)
 
 
 def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
@@ -104,9 +105,7 @@ def extend_with(c: EdgeColoring, e: bytes) -> EdgeColoring:
     return EdgeColoring(n + 1, out)
 
 
-def assemble(
-    k15: EdgeColoring, ea: bytes, eb: bytes
-) -> ColoringTemplate:
+def assemble(k15: EdgeColoring, ea: bytes, eb: bytes) -> ColoringTemplate:
     """Template on 17 vertices: shared K_15, two extended vertices, one open edge.
 
     Vertices 0-14 copy k15, vertex 15 is colored by ea, vertex 16 by eb, and
@@ -141,7 +140,7 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
     colors = bytearray(d.bit_length() - 1 for d in t.domains)  # singleton mask -> color
     colors[o] = Color(x).value
     c = EdgeColoring(t.n, bytes(colors))
-    u, v = edge_list(t.n)[o]
+    u, v = _edge_at(o, t.n)
     rows = bit_rows(c)[x]
     return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count())
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _edge_bytes, _record, edge_list, toggle
+from .coloring import Color, EdgeColoring, _edge_at, _edge_bytes, _record, edge_list, toggle
 from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
@@ -75,7 +75,7 @@ def template_violations(t: ColoringTemplate, c: EdgeColoring) -> list[str]:
     msgs = []
     for o, d in enumerate(t.domains):
         if not d >> c.colors[o] & 1:
-            i, j = edge_list(t.n)[o]
+            i, j = _edge_at(o, t.n)
             msgs.append(f"edge ({i},{j}) colored {Color(c.colors[o]).char} outside domain")
     for cp in t.couplings:
         want = Color((c.colors[cp.src] + cp.shift) % 3)

@@ -17,12 +17,13 @@ from ramsey333 import (
     delete_vertex,
     edge_index,
     edge_list,
+    extension_of_vertex,
     fast_mono_counts,
     permute_colors,
     permute_vertices,
     random_coloring,
 )
-from ramsey333.coloring import bit_rows
+from ramsey333.coloring import _edge_at, bit_rows
 
 ALL_B_K3 = EdgeColoring.from_string(3, "BBB")
 RAINBOW_K3 = EdgeColoring.from_string(3, "BRY")
@@ -35,12 +36,16 @@ def test_edge_index_corners():
 
 
 def test_edge_index_is_a_bijection():
-    for n in (2, 5, 17):
+    for n in range(1, 41):
+        edges = edge_list(n)
+        assert len(edges) == comb(n, 2)
         seen = [edge_index(i, j, n) for i in range(n) for j in range(i + 1, n)]
-        assert sorted(seen) == list(range(n * (n - 1) // 2))
+        assert sorted(seen) == list(range(comb(n, 2)))
         for o in seen:
-            i, j = edge_list(n)[o]
-            assert edge_index(i, j, n) == o
+            assert _edge_at(o, n) == edges[o]
+            assert edge_index(*edges[o], n) == o
+        with pytest.raises(ValueError):
+            _edge_at(comb(n, 2), n)
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (3, 2), (0, 17), (-1, 2)])
@@ -131,10 +136,20 @@ def test_bit_rows_cache_keeps_rows_of_a_bounded_number_of_colorings():
     assert bit_rows.cache_info().currsize <= 4
 
 
-def test_edge_list_cache_keeps_a_bounded_number_of_sizes():
-    for n in range(1, 41):
-        assert len(edge_list(n)) == comb(n, 2)
-    assert edge_list.cache_info().currsize <= 8
+def test_ordinal_walks_keep_no_pair_tables():
+    # the walks iterate combinations: a table of pairs would keep ~130 KB at n = 64
+    colorings = [random_coloring(n, 3, n) for n in (32, 48, 64)]
+    tracemalloc.start()
+    try:
+        for c in colorings:
+            fast_mono_counts(c)
+            delete_vertex(c, 0)
+            extension_of_vertex(c, 0)
+        bit_rows.cache_clear()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 1024
 
 
 def test_census_memory_holds_no_triangle_list():

@@ -61,6 +61,12 @@ def test_twin_k17_highlighting():
                if ln.startswith("<line "))
 
 
+def test_dot_matches_golden_file():
+    # the DOT counterpart of the demo SVGs: edges in ordinal order, byte for byte
+    golden = (Path(__file__).parent / "golden" / "gf16_k16.dot").read_bytes()
+    assert export_figure(construct_gf16(), format="dot").encode() == golden
+
+
 @pytest.mark.parametrize("name, make, highlight_mono", [
     ("gf16_k16.svg", construct_gf16, False),
     ("k17_five_triangles.svg", lambda: twin_k17(Color.BLUE).coloring, True),

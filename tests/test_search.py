@@ -35,6 +35,16 @@ def test_random_coloring_refuses_the_seeds_search_params_refuses(seed):
         SearchParams(17, 3, seed)
 
 
+def test_random_coloring_edge_budget(monkeypatch):
+    # C(257,2) = 32896 edges is the first n over 2^15; refused before any
+    # draw (10^5 vertices would draw ~27 GB), and n is never formatted
+    monkeypatch.setattr(search, "random", None)
+    for n in (257, 10**5000):
+        with pytest.raises(BudgetError) as refused:
+            random_coloring(n, 3, 1)
+        assert str(refused.value) == "C(n,2) edges exceed the budget of 32768"
+
+
 def test_random_coloring_is_the_randrange_stream(monkeypatch):
     draws = []
 

@@ -156,6 +156,35 @@ def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+def _spoke_dfs(rows, n: int, colors, bound: int, leaf) -> None:
+    """Each spoke coloring from a new vertex to host vertices 0..n-1 closing < `bound` triangles.
+
+    Depth-first over host vertices in index order, colors in the given order.  Spoke u
+    colored x closes (chosen[x] & rows[x][u]).bit_count() triangles with the host's bit
+    rows; a branch is cut once its running count reaches the bound.  Each vector goes to
+    leaf(spokes, count), valid only during the call, which returns the bound from then on.
+    """
+    spokes = bytearray(n)
+    chosen = [0, 0, 0]  # per color, bitmask of host vertices already given that spoke
+
+    def dfs(u: int, count: int) -> None:
+        nonlocal bound
+        if u == n:
+            bound = leaf(spokes, count)
+            return
+        bit = 1 << u
+        for x in colors:
+            closed = count + (chosen[x] & rows[x][u]).bit_count()
+            if closed < bound:
+                spokes[u] = x
+                chosen[x] |= bit
+                dfs(u + 1, closed)
+                chosen[x] ^= bit
+
+    dfs(0, 0)
+    del dfs  # the closure refers to itself; breaking the cycle frees it without the collector
+
+
 class TriangleCensus(NamedTuple):
     """Exact triangle classification of one coloring."""
 

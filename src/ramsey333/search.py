@@ -6,12 +6,6 @@ decrease (ties broken by lowest edge ordinal, then color order), and tolerates
 a bounded number of plateau moves per restart.  Everything is seeded and
 deterministic: identical parameters give identical results.
 
-`exhaustive_min` is the ground truth at toy sizes: depth-first over all
-colorings with branch-and-bound, edges ordered so every triangle closes as
-early as possible.  The first edge's color is fixed to blue; recoloring is a
-bijection on the search space that permutes colors everywhere at once, so the
-restriction loses no minima.
-
 The seeded generator is Python's Mersenne Twister (random.Random).  A random
 coloring gives its edges, in edge-ordinal order, the top two bits of successive
 32-bit outputs, skipping values of k or more: for k in {2, 3} exactly the stream
@@ -23,11 +17,12 @@ a fresh 64-bit subseed from the master stream just before it climbs.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
 from .coloring import (
-    Color, EdgeColoring, _edge_at, _record, bit_rows, edge_index, edge_list, toggle
+    Color, EdgeColoring, _edge_at, _record, _spoke_dfs, bit_rows, edge_list, toggle
 )
 from .errors import BudgetError
 
@@ -221,13 +216,11 @@ def minimize(p: SearchParams) -> SearchResult:
 
 
 def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
-    """Exact minimum total monochromatic count over all k-colorings of K_n.
+    """Exact minimum total monochromatic count over all k-colorings of K_n, and its first witness.
 
-    Depth-first with branch-and-bound over edges in column order ((0,1),
-    (0,2), (1,2), (0,3), ...), colors in order B < R < Y, first edge fixed to
-    blue.  Returns the minimum and the first witness in that search order.
-    Refuses instances whose raw state count k^C(n,2) exceeds STATE_BUDGET
-    (2^25: k=2 up to n=7, k=3 up to n=6).
+    Vertices join in turn by coloring._spoke_dfs, colors B < R < Y, bounded by the best
+    count less the count closed; vertex 1's spoke is pinned blue, as permuting colors keeps
+    every count.  Refuses k^C(n,2) raw states over STATE_BUDGET (2^25: k=2 to n=7, k=3 to n=6).
     """
     _check_size(n, k)
     # k^m >= 2^m, so m >= STATE_BUDGET.bit_length() already exceeds the budget
@@ -236,34 +229,26 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     if m >= STATE_BUDGET.bit_length() or k**m > STATE_BUDGET:
         raise BudgetError(f"{k}^C(n,2) colorings exceed the budget of {STATE_BUDGET}")
 
-    # Column order: all edges into vertex v come right after K_{v} is done,
-    # so each assignment closes its triangles immediately.
-    order = [(u, v, edge_index(u, v, n)) for v in range(1, n) for u in range(v)]
     rows = [[0] * n for _ in range(3)]
-    colors = bytearray(m)
     best_count = comb(n, 3) + 1  # above any possible count
-    best_colors = None
+    best_rows = rows
+    closed = 0  # triangles closed by the edges in rows
 
-    def dfs(idx: int, count: int) -> None:
-        nonlocal best_count, best_colors
-        if idx == m:
-            best_count = count
-            best_colors = bytes(colors)
-            return
-        u, v, o = order[idx]
-        for x in range(k) if idx else (0,):  # first edge pinned to blue
-            closed = count + (rows[x][u] & rows[x][v]).bit_count()
-            if closed >= best_count:
-                continue
-            colors[o] = x
-            # Inline rather than coloring.toggle: the call makes this hot loop ~15% slower.
-            bit_u, bit_v = 1 << v, 1 << u
-            rows[x][u] |= bit_u
-            rows[x][v] |= bit_v
-            dfs(idx + 1, closed)
-            rows[x][u] &= ~bit_u
-            rows[x][v] &= ~bit_v
+    def leaf(spokes: bytearray, count: int) -> int:
+        nonlocal best_count, best_rows, closed
+        v = len(spokes)  # the joining vertex: spokes[u] colors edge (u, v)
+        closed += count
+        for u, x in enumerate(spokes):
+            toggle(rows, u, v, x)
+        if v + 1 < n:  # vertex 1's spoke is pinned blue
+            _spoke_dfs(rows, v + 1, range(k if v else 1), best_count - closed, leaf)
+        else:
+            best_count, best_rows = closed, [r.copy() for r in rows]
+        for u, x in enumerate(spokes):
+            toggle(rows, u, v, x)
+        closed -= count
+        return best_count - closed
 
-    dfs(0, 0)
-    assert best_colors is not None
-    return best_count, EdgeColoring(n, best_colors)
+    leaf(bytearray(), 0)  # vertex 0 joins with no spokes
+    return best_count, EdgeColoring(n, bytes(next(x for x in range(3) if best_rows[x][i] >> j & 1)
+                                             for i, j in combinations(range(n), 2)))

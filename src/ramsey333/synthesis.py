@@ -21,6 +21,7 @@ from .coloring import (
     EdgeColoring,
     TriangleCensus,
     _edge_at,
+    _spoke_dfs,
     bit_rows,
     census,
     delete_vertex,
@@ -61,32 +62,17 @@ def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
 def find_extensions(c: EdgeColoring) -> list[bytes]:
     """All spoke colorings whose one-vertex extension of c stays triangle-free.
 
-    Depth-first over host vertices in index order, colors in order B < R < Y;
-    the output order is that DFS order.  The host must be triangle-free.
-    A spoke pair (u, v) colored x is forbidden exactly when edge (u, v) has
-    color x, so candidates are pruned with one bit-row intersection.
-    Each extension is bytes of spoke colors, indexed by host vertex.
+    Each is bytes indexed by host vertex, in the order of coloring._spoke_dfs
+    with colors B < R < Y.  The host must be triangle-free.
     """
     _require_triangle_free(c, "host coloring contains")
-    rows = bit_rows(c)
-    n = c.n
     out: list[bytes] = []
-    spokes = bytearray(n)
-    chosen = [0, 0, 0]  # per color, bitmask of vertices already given that spoke
 
-    def dfs(v: int) -> None:
-        if v == n:
-            out.append(bytes(spokes))
-            return
-        for x in (0, 1, 2):
-            if chosen[x] & rows[x][v]:
-                continue
-            spokes[v] = x
-            chosen[x] |= 1 << v
-            dfs(v + 1)
-            chosen[x] &= ~(1 << v)
+    def leaf(spokes: bytearray, count: int) -> int:
+        out.append(bytes(spokes))
+        return 1
 
-    dfs(0)
+    _spoke_dfs(bit_rows(c), c.n, (0, 1, 2), 1, leaf)
     return out
 
 

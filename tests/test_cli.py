@@ -190,6 +190,17 @@ def test_exhaustive_human_output_and_out(tmp_path, capsys):
     assert "OK" in out
 
 
+def test_extensions_of_the_exhaustive_witness_match_golden(tmp_path, capsys):
+    # both spoke searches in one file: exhaustive_min's first witness for
+    # (6, 3), then every extension of it in find_extensions' order
+    witness = tmp_path / "h6.txt"
+    assert main(["exhaustive", "--n", "6", "--k", "3", "--out", str(witness)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(["extend", str(witness)], capsys=capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "exhaustive_6_3_extend.txt").read_text()
+
+
 def test_extend_on_triangled_host_exit_code(monkeypatch, capsys):
     code, _, err = run(["extend"], stdin=ALL_BLUE_K3,
                        monkeypatch=monkeypatch, capsys=capsys)

@@ -243,8 +243,11 @@ def test_exhaustive_min_witness_matches_count():
     (1, 2, 0, ""),
     (2, 3, 0, "B"),
     (3, 2, 0, "BBR"),
+    (3, 3, 0, "BBR"),
     (4, 2, 0, "BBRRBB"),
+    (4, 3, 0, "BBBRRY"),
     (5, 2, 0, "BBRRRBRRBB"),
+    (5, 3, 0, "BBBBRRYYRR"),
     (6, 2, 2, "BBBRRBBRRRBRRBB"),
     (6, 3, 0, "BBBBRRRYBYRBRBB"),
     (7, 2, 4, "BBBBRRBBRRRRRBRRRBBBB"),  # the largest k=2 instance the budget admits

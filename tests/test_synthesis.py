@@ -1,5 +1,6 @@
 """Vertex extensions and the 17-vertex assembly."""
 
+import gc
 import random
 from itertools import product
 
@@ -78,6 +79,28 @@ def test_gf16_k15_extension_is_unique():
     for v in (-1, 16):
         with pytest.raises(ValueError, match="out of range"):
             extension_of_vertex(construct_gf16(), v)
+
+
+def test_every_k15_host_extends_only_by_its_deleted_vertex():
+    # the 32 one-vertex deletions of the two K_16 colorings: each K_15 regrows
+    # exactly the spokes it lost
+    for c in (construct_gf16(), solve_template(cylinder_template(), limit=1)[0]):
+        for v in range(16):
+            assert find_extensions(delete_vertex(c, v)) == [extension_of_vertex(c, v)]
+
+
+def test_spoke_searches_leave_no_cyclic_garbage():
+    # a recursive closure kept alive per call would leave tens of thousands
+    # of objects for the cycle collector
+    k15 = _gf16_k15()
+    gc.collect()
+    gc.disable()
+    try:
+        for search in (lambda: exhaustive_min(7, 2), lambda: find_extensions(k15)):
+            search()
+            assert gc.collect() < 1000
+    finally:
+        gc.enable()
 
 
 def test_k16_hosts_have_no_extension():

@@ -30,7 +30,6 @@ from .coloring import (
     color_degree_profile,
     delete_vertex,
     edge_index,
-    edge_list,
     fast_mono_counts,
     permute_colors,
     permute_vertices,
@@ -95,7 +94,6 @@ __all__ = [
     "cylinder_template",
     "delete_vertex",
     "edge_index",
-    "edge_list",
     "exhaustive_min",
     "export_figure",
     "extend_with",

@@ -62,11 +62,6 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def edge_list(n: int) -> tuple[tuple[int, int], ...]:
-    """All edges of K_n in ordinal order, as a fresh tuple; a walk needs only combinations."""
-    return tuple(combinations(range(n), 2))
-
-
 def _edge_at(o: int, n: int) -> tuple[int, int]:
     """The edge (i, j) of ordinal o, 0 <= o < C(n, 2): edge_index's inverse in O(n)."""
     for i in range(n - 1):

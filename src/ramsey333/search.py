@@ -22,7 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 from .coloring import (
-    Color, EdgeColoring, _edge_at, _record, _spoke_dfs, bit_rows, edge_list, toggle
+    Color, EdgeColoring, _edge_at, _record, _spoke_dfs, bit_rows, toggle
 )
 from .errors import BudgetError
 
@@ -106,22 +106,21 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
 def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     """Steepest-descent hill climb with plateau walking, from one coloring.
 
-    Returns (best count, best coloring, candidate evaluations); every scan
-    counts all E*(k-1) moves.  The state is the per-color bit rows, so a
-    move's delta is two row intersections.  Each edge keeps its best move as
-    one sort key, (delta + n, edge ordinal, color) packed into an int with the
-    lowest color winning a tie, so min(keys) is the steepest decrease with
-    ties broken by lowest edge ordinal then color order.  Plateau steps
-    instead recolor the least recently modified edge with a zero-delta move:
-    edges whose best delta is 0 also keep (last touched + 1, edge ordinal,
-    color) in stale_keys.  A plateau walk that reused the ordinal rule would
-    bounce between two states forever, while the staleness rule keeps it
-    moving.  Recoloring (a, b) from c0 to x changes common-neighbor counts
+    Returns (best count, best coloring, candidate evaluations); every pass,
+    the stopping one included, scans all E*(k-1) moves.  The state is the
+    per-color bit rows, so a move's delta is two row intersections.  Each edge
+    keeps its best move, the lowest color winning a tie, as one int key
+    ordered by (delta, rank, edge ordinal, color), where rank is last touched
+    + 1 on an edge whose best delta is 0 and 0 elsewhere.  So min(keys) is the
+    steepest decrease with ties broken by lowest edge ordinal then color, and
+    on a plateau it recolors the least recently touched zero-delta edge: a
+    plateau walk that broke ties by ordinal would bounce between two states
+    forever.  Recoloring (a, b) from c0 to x changes common-neighbor counts
     only for edges (a, w) with w a c0- or x-neighbor of b, and symmetrically
     for (b, w), so only those edges and (a, b) itself are repriced.
     """
     n = start.n
-    edges = edge_list(n)
+    edges = tuple(combinations(range(n), 2))
     num_edges = len(edges)
     if num_edges == 0:
         return 0, start, 0
@@ -132,11 +131,10 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     for e, (u, v) in enumerate(edges):
         toggle(rows, u, v, cur[e])
         ordinal[u][v] = ordinal[v][u] = e
-    span = 3 * num_edges  # keys are (major * span + 3 * edge + color)
-    never = (steps_cap + 1) * span  # above every plateau key
+    span = 3 * num_edges  # keys are ((delta + n) * ranks + rank) * span + 3 * edge + color
+    ranks = steps_cap + 1  # above every rank
     last_touched = [-1] * num_edges
     keys = [0] * num_edges
-    stale_keys = [never] * num_edges
 
     def price(e):
         u, v = edges[e]
@@ -148,27 +146,23 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
                 d = (rows[y][u] & rows[y][v]).bit_count() - held
                 if d < best:
                     best, x = d, y
-        keys[e] = (best + n) * span + 3 * e + x
-        stale_keys[e] = (last_touched[e] + 1) * span + 3 * e + x if best == 0 else never
+        rank = last_touched[e] + 1 if best == 0 else 0
+        keys[e] = ((best + n) * ranks + rank) * span + 3 * e + x
+        return held
 
-    for e in range(num_edges):
-        price(e)
-    total = sum((rows[c][u] & rows[c][v]).bit_count() for (u, v), c in zip(edges, cur)) // 3
+    total = sum(map(price, range(num_edges))) // 3  # each triangle holds on its three edges
     best_count, best = total, bytes(cur)
-    evals = 0
     sideways_used = 0
 
     for step in range(steps_cap):
-        evals += num_edges * (k - 1)
         key = min(keys)
-        d = key // span - n
+        d = key // (ranks * span) - n
         if d > 0:
             break
         if d == 0:
             if sideways_used >= sideways_limit:
                 break
             sideways_used += 1
-            key = min(stale_keys)
         e, x = divmod(key % span, 3)
         a, b = edges[e]
         c0 = cur[e]
@@ -187,7 +181,7 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
                 mask ^= low
                 price(ordinal[p][low.bit_length() - 1])
 
-    return best_count, EdgeColoring(n, best), evals
+    return best_count, EdgeColoring(n, best), (step + 1) * num_edges * (k - 1)
 
 
 def minimize(p: SearchParams) -> SearchResult:

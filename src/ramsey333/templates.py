@@ -19,9 +19,10 @@ first solution is canonical and reproducible; SOLVE_BUDGET caps its DFS nodes.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring, _edge_at, _edge_bytes, _record, edge_list, toggle
+from .coloring import Color, EdgeColoring, _edge_at, _edge_bytes, _record, toggle
 from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
@@ -98,7 +99,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
         raise ValueError("limit must be positive")
     n = t.n
     m = len(t.domains)
-    edges = edge_list(n)
+    edges = tuple(combinations(range(n), 2))
     partners: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for cp in t.couplings:
         partners[cp.src].append((cp.dst, cp.shift))

@@ -8,8 +8,8 @@ PUBLIC_NAMES = [
     "FormatError", "MonoTriangle", "NotTriangleFreeError", "SearchParams",
     "SearchResult", "TriangleCensus", "assemble", "census",
     "color_degree_profile", "complete_edge", "construct_gf16", "cubic_classes",
-    "cylinder_template", "delete_vertex", "edge_index", "edge_list",
-    "exhaustive_min", "export_figure", "extend_with", "extension_of_vertex",
+    "cylinder_template", "delete_vertex", "edge_index", "exhaustive_min",
+    "export_figure", "extend_with", "extension_of_vertex",
     "fast_mono_counts", "find_extensions", "minimize", "move_delta",
     "parse_document", "permute_colors", "permute_vertices",
     "random_coloring", "serialize", "serialize_template", "sigma",

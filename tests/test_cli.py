@@ -293,6 +293,14 @@ def test_search_json(capsys):
     assert len(payload["trace"]) == 4
 
 
+def test_readme_search_matches_golden(capsys):
+    # the README's n = 17 search, whole trajectory pinned by its JSON
+    code, out, _ = run(["search", "--n", "17", "--k", "3", "--seed", "7", "--restarts", "40",
+                        "--steps", "20000", "--sideways", "400", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "search_17_3_seed7.json").read_text()
+
+
 def test_search_human_and_out(tmp_path, capsys):
     best = tmp_path / "best.txt"
     code = main(["search", "--n", "5", "--k", "2", "--seed", "2",

@@ -147,6 +147,52 @@ def test_minimize_golden_trajectory(params, digest):
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
+def _plain_climb(start, k, steps_cap, sideways_limit):
+    # the climb rule written out: every pass rescans every move with
+    # move_delta; a decrease takes the min (delta, edge, color), a plateau
+    # pass the min (last touched + 1, edge, color) over edges whose best
+    # delta is 0
+    c, num_edges = start, len(start.colors)
+    if num_edges == 0:
+        return 0, start, 0
+    total = census(c).total_mono
+    best_count, best = total, c
+    last_touched = [-1] * num_edges
+    sideways_used = passes = 0
+    for step in range(steps_cap):
+        passes += 1
+        moves = [(move_delta(c, e, x), e, x)
+                 for e in range(num_edges) for x in range(k) if x != c.colors[e]]
+        d, e, x = min(moves)
+        if d > 0:
+            break
+        if d == 0:
+            if sideways_used >= sideways_limit:
+                break
+            sideways_used += 1
+            # a decrease exists nowhere, so every edge's best delta is >= 0
+            # and a zero-delta move lies on an edge whose best delta is 0
+            _, e, x = min((last_touched[e] + 1, e, x) for dd, e, x in moves if dd == 0)
+        c = c.recolored(e, x)
+        last_touched[e] = step
+        total += d
+        if total < best_count:
+            best_count, best = total, c
+    return best_count, best, passes * num_edges * (k - 1)
+
+
+def test_climb_follows_the_plain_rule():
+    # n = 17 stays in the grid: without it the grid missed a rank kept on every edge
+    rng = random.Random(22)
+    for n in (5, 9, 13, 17):
+        for k in (2, 3):
+            for cap, sideways in ((1, 0), (2, 50), (300, 0), (300, 3), (300, 50)):
+                for _ in range(2):
+                    start = random_coloring(n, k, rng.getrandbits(64))
+                    got = search._climb(start, k, cap, sideways)
+                    assert got == _plain_climb(start, k, cap, sideways), (n, k, cap, sideways)
+
+
 def test_minimize_draws_each_subseed_as_its_restart_starts(monkeypatch):
     # no list of p.restarts subseeds up front: stopped at its first climb,
     # minimize has taken one draw from the master stream

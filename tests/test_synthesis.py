@@ -2,7 +2,7 @@
 
 import gc
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -20,7 +20,6 @@ from ramsey333 import (
     cylinder_template,
     delete_vertex,
     edge_index,
-    edge_list,
     exhaustive_min,
     extend_with,
     extension_of_vertex,
@@ -135,7 +134,8 @@ def test_vertex_operations_match_pairwise_definition():
             assert all(ext[i] == c.color(u, v) for i, u in enumerate(keep))
             if n > 1:
                 d = delete_vertex(c, v)
-                assert all(d.color(i, j) == c.color(keep[i], keep[j]) for i, j in edge_list(n - 1))
+                assert all(d.color(i, j) == c.color(keep[i], keep[j])
+                           for i, j in combinations(range(n - 1), 2))
 
 
 def test_extensions_extend_triangle_free():
@@ -235,7 +235,7 @@ def test_triangles_through_new_edge_match_the_listed_triangles():
         domains = bytearray(ColoringTemplate.from_coloring(c).domains)
         domains[o] = FULL
         t = ColoringTemplate(n, bytes(domains))
-        u, v = edge_list(n)[o]
+        u, v = tuple(combinations(range(n), 2))[o]
         for x in COLORS:
             rep = complete_edge(t, x)
             listed = sum(1 for tr in rep.census.mono_list if u in tr[:3] and v in tr[:3])

@@ -3,9 +3,9 @@
 The SVG layout is fixed so golden-image comparisons are byte-stable: the
 vertices sit on a regular n-gon with vertex 0 at the top, numbering runs
 clockwise, and coordinates are formatted with two decimals.  Every edge is
-one <line> chord; highlighting monochromatic triangles thickens the strokes
-of their edges instead of adding elements, so the chord count is always
-C(n, 2).
+one <line> chord; highlighting monochromatic triangles thickens the stroke
+of each chord whose ends share a neighbour of its color (read from bit
+rows) instead of adding elements, so the chord count is always C(n, 2).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .coloring import Color, EdgeColoring, census
+from .coloring import Color, EdgeColoring, bit_rows
 
 DOT_COLORS = {Color.BLUE: "blue", Color.RED: "red", Color.YELLOW: "yellow"}
 SVG_COLORS = {Color.BLUE: "#1a6fd4", Color.RED: "#d42a2a", Color.YELLOW: "#d4a017"}
@@ -42,7 +42,7 @@ def export_figure(c: EdgeColoring, format: str = "svg", highlight_mono: bool = F
 def _export_dot(c: EdgeColoring) -> str:
     lines = [f"graph k{c.n} {{", "  node [shape=circle];"]
     for (i, j), b in zip(combinations(range(c.n), 2), c.colors):
-        lines.append(f'  {i} -- {j} [color="{DOT_COLORS[Color(b)]}"];')
+        lines.append(f'  {i} -- {j} [color="{DOT_COLORS[b]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -59,10 +59,7 @@ def _vertex_positions(n: int) -> list[tuple[float, float]]:
 def _export_svg(c: EdgeColoring, highlight_mono: bool) -> str:
     n = c.n
     pos = _vertex_positions(n)
-    thick_edges: set[tuple[int, int]] = set()
-    if highlight_mono:
-        for tr in census(c).mono_list:
-            thick_edges |= {(tr.i, tr.j), (tr.i, tr.k), (tr.j, tr.k)}
+    rows = bit_rows(c) if highlight_mono else None
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
@@ -71,10 +68,10 @@ def _export_svg(c: EdgeColoring, highlight_mono: bool) -> str:
     ]
     for (i, j), b in zip(combinations(range(n), 2), c.colors):
         (x1, y1), (x2, y2) = pos[i], pos[j]
-        width = _HIGHLIGHT_WIDTH if (i, j) in thick_edges else _BASE_WIDTH
+        width = _HIGHLIGHT_WIDTH if rows and rows[b][i] & rows[b][j] else _BASE_WIDTH
         out.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{SVG_COLORS[Color(b)]}" stroke-width="{width}"/>'
+            f'stroke="{SVG_COLORS[b]}" stroke-width="{width}"/>'
         )
     for v, (x, y) in enumerate(pos):
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="10" fill="#222"/>')

@@ -244,5 +244,6 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
         return best_count - closed
 
     leaf(bytearray(), 0)  # vertex 0 joins with no spokes
+    del leaf  # the closure refers to itself; breaking the cycle frees it without the collector
     return best_count, EdgeColoring(n, bytes(next(x for x in range(3) if best_rows[x][i] >> j & 1)
                                              for i, j in combinations(range(n), 2)))

@@ -176,4 +176,5 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
         return False
 
     dfs(0)
+    del dfs  # the closure refers to itself; breaking the cycle frees it without the collector
     return solutions

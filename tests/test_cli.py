@@ -167,6 +167,11 @@ def test_budget_exit_code(tmp_path, monkeypatch, capsys):
         assert code == 3
         assert out == ""
         assert "C(n,3) triples exceed the budget of 4194304" in err
+    # highlighting reads bit rows, not the census: every chord of K_295 is thick
+    code, out, err = run(["export", str(k295), "--format", "svg", "--highlight-mono"],
+                         capsys=capsys)
+    assert code == 0, err
+    assert out.count("<line ") == out.count('stroke-width="4.5"') == 43365
 
 
 def test_exhaustive_json(capsys):

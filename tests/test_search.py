@@ -181,16 +181,29 @@ def _plain_climb(start, k, steps_cap, sideways_limit):
     return best_count, best, passes * num_edges * (k - 1)
 
 
+# k = 3 starts whose descents tie between equally steep edges, one of them
+# touched before: a climber that ranks every edge by its last touch, not only
+# the zero-delta ones, leaves the plain rule on each of these
+_DESCENT_TIE_STARTS = (
+    [(17, s, cap, sideways) for s in (10, 23) for cap, sideways in ((300, 0), (300, 3), (300, 50))]
+    + [(13, 3, 300, 50), (13, 16, 300, 50)]
+)
+
+
 def test_climb_follows_the_plain_rule():
     # n = 17 stays in the grid: without it the grid missed a rank kept on every edge
     rng = random.Random(22)
+    cases = []
     for n in (5, 9, 13, 17):
         for k in (2, 3):
             for cap, sideways in ((1, 0), (2, 50), (300, 0), (300, 3), (300, 50)):
                 for _ in range(2):
-                    start = random_coloring(n, k, rng.getrandbits(64))
-                    got = search._climb(start, k, cap, sideways)
-                    assert got == _plain_climb(start, k, cap, sideways), (n, k, cap, sideways)
+                    cases.append((random_coloring(n, k, rng.getrandbits(64)), k, cap, sideways))
+    for n, seed, cap, sideways in _DESCENT_TIE_STARTS:
+        cases.append((random_coloring(n, 3, seed), 3, cap, sideways))
+    for start, k, cap, sideways in cases:
+        got = search._climb(start, k, cap, sideways)
+        assert got == _plain_climb(start, k, cap, sideways), (start.n, k, cap, sideways)
 
 
 def test_minimize_draws_each_subseed_as_its_restart_starts(monkeypatch):
@@ -239,6 +252,21 @@ def test_minimize_reaches_known_minima():
     res = minimize(SearchParams(n=5, k=2, seed=1, restarts=5,
                                 steps_per_restart=500, sideways_limit=20))
     assert res.best_count == 0
+
+
+def _goodman(n):
+    # Goodman (1959): the fewest monochromatic triangles in a 2-coloring of K_n
+    return comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
+
+
+def test_goodman_is_the_exhaustive_k2_minimum():
+    for n in range(1, 8):
+        assert exhaustive_min(n, 2)[0] == _goodman(n), n
+
+
+@pytest.mark.parametrize("n", [6, 10, 17, 25, 40, 64])
+def test_minimize_reaches_goodman_at_k2(n):
+    assert minimize(SearchParams(n, 2, seed=1)).best_count == _goodman(n)
 
 
 def test_minimize_never_beats_exhaustive():

@@ -89,15 +89,25 @@ def test_every_k15_host_extends_only_by_its_deleted_vertex():
 
 
 def test_spoke_searches_leave_no_cyclic_garbage():
-    # a recursive closure kept alive per call would leave tens of thousands
-    # of objects for the cycle collector
+    # a recursive closure that refers to itself leaves the whole search state
+    # of every call for the cycle collector
     k15 = _gf16_k15()
+    cylinder = cylinder_template()
+    gf16 = ColoringTemplate.from_coloring(construct_gf16())
+    searches = (
+        lambda: exhaustive_min(7, 2),
+        lambda: exhaustive_min(6, 3),
+        lambda: find_extensions(k15),
+        lambda: solve_template(cylinder),
+        lambda: solve_template(cylinder, limit=50),
+        lambda: solve_template(gf16),
+    )
     gc.collect()
     gc.disable()
     try:
-        for search in (lambda: exhaustive_min(7, 2), lambda: find_extensions(k15)):
+        for search in searches:
             search()
-            assert gc.collect() < 1000
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVER_BUDGET
+    except BrokenPipeError:  # the reader left (`| head`); stdout to devnull so the exit flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -7,20 +7,20 @@ one edge's color to another's through the cyclic shift Blue -> Red -> Yellow
 Domains are 3-bit color masks held in one `bytes`, like `EdgeColoring.colors`:
 bit x set means color x is allowed, so FULL = 0b111 leaves an edge open.
 
-solve_template completes a template into triangle-free colorings by
-depth-first backtracking: edges are decided in ordinal order, colors tried
-in order B < R < Y, coupled edges forced immediately, and any assignment
-that closes a monochromatic triangle or gives a vertex a sixth edge of one
-color is pruned.  After each assignment a forward check (Haralick & Elliott,
-1980) looks at the undecided edges at the vertices it touched and backtracks
-as soon as one has no usable color left.  The search order is fixed, so the
-first solution is canonical and reproducible; SOLVE_BUDGET caps its DFS nodes.
+solve_template enumerates a template's triangle-free completions by
+depth-first backtracking and keeps the first `limit`: edges are decided in
+ordinal order, colors tried in order B < R < Y, coupled edges forced
+immediately, and any assignment that closes a monochromatic triangle or gives
+a vertex a sixth edge of one color is pruned.  After each assignment a forward
+check (Haralick & Elliott, 1980) looks at the undecided edges at the vertices
+it touched and backtracks as soon as one has no usable color left.  The order
+is fixed, so the first solution is canonical; SOLVE_BUDGET caps its DFS nodes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import NamedTuple
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple
 
 from .coloring import Color, EdgeColoring, _edge_at, _edge_bytes, _record, toggle
 from .errors import BudgetError
@@ -89,10 +89,10 @@ def template_violations(t: ColoringTemplate, c: EdgeColoring) -> list[str]:
 
 
 def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
-    """Triangle-free completions of a template, at most `limit`, in DFS order.
+    """The first `limit` triangle-free completions of a template, in DFS order.
 
-    Deterministic: edges in ordinal order, colors in order B < R < Y,
-    couplings propagated eagerly.  An empty list means no completion exists.
+    A generator enumerates them (edges in ordinal order, colors B < R < Y, couplings
+    propagated eagerly) until `limit` are taken.  An empty list means none exists.
     Raises BudgetError mid-search at node SOLVE_BUDGET + 1 (50 cylinder solutions visit 30,201).
     """
     if limit < 1:
@@ -112,7 +112,6 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     UNSET = 255
     assigned = bytearray([UNSET]) * m
     rows = [[0] * n for _ in range(3)]  # per-color adjacency over assigned edges
-    solutions: list[EdgeColoring] = []
     domains = t.domains
     tickets = iter(range(SOLVE_BUDGET))  # one per DFS node
 
@@ -156,25 +155,23 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
                     return False
         return True
 
-    def dfs(start: int) -> bool:
+    def completions(o: int) -> Iterator[EdgeColoring]:
         if next(tickets, None) is None:
             raise BudgetError(f"DFS nodes exceed the budget of {SOLVE_BUDGET}")
-        o = start
         while o < m and assigned[o] != UNSET:
             o += 1
         if o == m:
-            solutions.append(EdgeColoring(n, bytes(assigned)))
-            return len(solutions) >= limit
+            yield EdgeColoring(n, bytes(assigned))
+            return
         for x in (0, 1, 2):  # a color outside o's domain fails in feasible_mask
             trail: list[int] = []
             if assign_with_couplings(o, x, trail):
-                if dfs(o + 1):
-                    return True
+                yield from completions(o + 1)
             for e in reversed(trail):
                 toggle(rows, *edges[e], assigned[e])
                 assigned[e] = UNSET
-        return False
 
-    dfs(0)
-    del dfs  # the closure refers to itself; breaking the cycle frees it without the collector
-    return solutions
+    try:
+        return list(islice(completions(0), limit))  # islice refuses a limit past sys.maxsize
+    finally:
+        del completions  # it refers to itself; a refused solve is freed without the collector too

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -402,3 +406,19 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(["count", "/nonexistent/path.txt"], capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--list"], ["--json", "--list"]])
+def test_count_list_into_a_closed_pipe_exits_quietly(tmp_path, flags):
+    # `count --list | head -1`: the reader leaving is not bad input (exit 2).
+    # The JSON is one 1.4 MB line, so the reader takes one byte, not one line.
+    doc = tmp_path / "k60.txt"
+    doc.write_text(f"coloring/1\nn: 60\nk: 3\ncolors: {'B' * comb(60, 2)}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "ramsey333.cli", "count", str(doc), *flags],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""

@@ -3,6 +3,7 @@
 import gc
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -28,6 +29,7 @@ from ramsey333 import (
     solve_template,
     twin_k17,
 )
+from ramsey333.errors import BudgetError
 from ramsey333.templates import FULL
 
 # The 15-vertex core of the finite-field coloring extends back to a
@@ -88,12 +90,20 @@ def test_every_k15_host_extends_only_by_its_deleted_vertex():
             assert find_extensions(delete_vertex(c, v)) == [extension_of_vertex(c, v)]
 
 
-def test_spoke_searches_leave_no_cyclic_garbage():
+def test_spoke_searches_leave_no_cyclic_garbage(monkeypatch):
     # a recursive closure that refers to itself leaves the whole search state
-    # of every call for the cycle collector
+    # of every call for the cycle collector, a call refused mid-search included
     k15 = _gf16_k15()
     cylinder = cylinder_template()
     gf16 = ColoringTemplate.from_coloring(construct_gf16())
+    open_k10 = ColoringTemplate(10, bytes([FULL]) * comb(10, 2))
+
+    def refused(t):
+        monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 1000)
+        with pytest.raises(BudgetError):
+            solve_template(t)
+        monkeypatch.undo()
+
     searches = (
         lambda: exhaustive_min(7, 2),
         lambda: exhaustive_min(6, 3),
@@ -101,6 +111,8 @@ def test_spoke_searches_leave_no_cyclic_garbage():
         lambda: solve_template(cylinder),
         lambda: solve_template(cylinder, limit=50),
         lambda: solve_template(gf16),
+        lambda: refused(cylinder),
+        lambda: refused(open_k10),
     )
     gc.collect()
     gc.disable()

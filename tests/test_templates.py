@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from itertools import product
 from math import comb
 
@@ -184,6 +185,12 @@ def test_limit_must_be_positive():
     t = ColoringTemplate(3, [FULL, FULL, FULL])
     with pytest.raises(ValueError):
         solve_template(t, limit=0)
+    # islice takes the first `limit`: an int from 1 to sys.maxsize, checked
+    # before any node is visited
+    for limit in (1.5, sys.maxsize + 1):
+        with pytest.raises(ValueError):
+            solve_template(t, limit=limit)
+    assert len(solve_template(t, limit=sys.maxsize)) == 3**3 - 3  # all but the monochromatic
 
 
 # sha256 of the concatenated colors of the first five cylinder solutions, in
@@ -264,7 +271,7 @@ def test_solver_matches_brute_force_in_dfs_order(seed):
 def test_solve_template_refuses_past_its_node_budget(monkeypatch):
     # the cylinder's first solution takes exactly 1527 DFS nodes
     t = cylinder_template()
-    first = solve_template(t)
+    first, first_four = solve_template(t), solve_template(t, limit=4)
     monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 1527)
     assert solve_template(t) == first
     monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 1526)
@@ -273,3 +280,9 @@ def test_solve_template_refuses_past_its_node_budget(monkeypatch):
     open_k10 = ColoringTemplate(10, bytes([FULL]) * comb(10, 2))
     with pytest.raises(BudgetError):
         solve_template(open_k10)  # refused mid-search at 1526 nodes
+    # the benchmark's solve: the first four solutions take exactly 2750 nodes
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 2750)
+    assert solve_template(t, limit=4) == first_four
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 2749)
+    with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 2749$"):
+        solve_template(t, limit=4)

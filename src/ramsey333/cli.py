@@ -15,12 +15,13 @@ format, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
-from .coloring import Color, census, delete_vertex
+from .coloring import Color, _mono_triangles, census, delete_vertex
 from .constructions import construct_gf16, cylinder_template
 from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
@@ -100,19 +101,22 @@ def cmd_count(args) -> int:
     c, _ = _load_coloring(args.file)
     cen = census(c)
     if args.json:
-        payload = {
+        text = json.dumps({
             "n": c.n,
             "mono": list(cen.mono),
             "total_mono": cen.total_mono,
             "bichromatic": cen.bichromatic,
             "rainbow": cen.rainbow,
-        }
-        if args.list:
-            payload["mono_triangles"] = [
-                {"vertices": [t.i, t.j, t.k], "color": t.color.char}
-                for t in cen.mono_list
-            ]
-        print(json.dumps(payload))
+        })
+        if args.list:  # streamed, byte for byte what json.dumps gives with this last key
+            sys.stdout.write(text[:-1] + ', "mono_triangles": [')
+            sep = ""
+            for t in _mono_triangles(c):
+                sys.stdout.write(sep + json.dumps({"vertices": [t.i, t.j, t.k],
+                                                   "color": t.color.char}))
+                sep = ", "
+            text = "]}"
+        print(text)
         return EXIT_OK
     if args.per_color:
         print(f"({cen.mono[0]},{cen.mono[1]},{cen.mono[2]})")
@@ -122,7 +126,7 @@ def cmd_count(args) -> int:
         print(f"bichromatic: {cen.bichromatic}")
         print(f"rainbow: {cen.rainbow}")
     if args.list:
-        for t in cen.mono_list:
+        for t in _mono_triangles(c):
             print(f"{t.i} {t.j} {t.k} {t.color.char}")
     return EXIT_OK
 
@@ -238,6 +242,7 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; each main() call parses into a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramsey333",

@@ -10,8 +10,9 @@ it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  It keeps the coloring, not its triangles, so its
 memory is O(C(n, 2)); CENSUS_BUDGET bounds its time (n <= 294).
 `fast_mono_counts` is the bit-parallel path: `bit_rows`, the package's one cache
-(last four colorings), packs each color's adjacencies into Python ints (no vertex
-cap), and the triangles through an edge (i, j) are the set bits of row_i AND row_j.
+of computed data (last four colorings; the CLI also builds its parser once), packs each
+color's adjacencies into Python ints (no vertex cap), and the triangles through an
+edge (i, j) are the set bits of row_i AND row_j.
 
 Colorings are named tuples, immutable, hashable and re-checked on `_replace`; functions are pure.
 """
@@ -23,7 +24,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError
 
@@ -180,6 +181,19 @@ def _spoke_dfs(rows, n: int, colors, bound: int, leaf) -> None:
     del dfs  # the closure refers to itself; breaking the cycle frees it without the collector
 
 
+def _mono_triangles(c: EdgeColoring) -> Iterator[MonoTriangle]:
+    """Yield the monochromatic triangles i < j < k in lexicographic order, from bit_rows.
+
+    Each is a set bit above j of its edge (i, j)'s row intersection."""
+    rows = bit_rows(c)
+    for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
+        common = (rows[x][i] & rows[x][j]) >> (j + 1)
+        while common:
+            low = common & -common
+            yield MonoTriangle(i, j, j + low.bit_length(), COLORS[x])
+            common ^= low
+
+
 class TriangleCensus(NamedTuple):
     """Exact triangle classification of one coloring."""
 
@@ -190,19 +204,9 @@ class TriangleCensus(NamedTuple):
 
     @property
     def mono_list(self) -> tuple[MonoTriangle, ...]:
-        """The monochromatic triangles i < j < k in lexicographic order, from bit_rows.
-
-        Each is a set bit above j of its edge (i, j)'s row intersection."""
-        c = self.coloring
-        rows = bit_rows(c)
-        out = []
-        for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
-            common = (rows[x][i] & rows[x][j]) >> (j + 1)
-            while common:
-                low = common & -common
-                out.append(MonoTriangle(i, j, j + low.bit_length(), COLORS[x]))
-                common ^= low
-        return tuple(out)
+        """The monochromatic triangles i < j < k in lexicographic order, from bit_rows."""
+        # via a list: tuple() of a generator shrinks its tuple, parking a block on the free list
+        return tuple(list(_mono_triangles(self.coloring)))
 
     @property
     def total_mono(self) -> int:

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, piping, output formats."""
 
+import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -12,19 +15,28 @@ import pytest
 
 from ramsey333 import (
     SearchParams,
+    census,
     construct_gf16,
     delete_vertex,
     extension_of_vertex,
     parse_document,
+    random_coloring,
     serialize,
 )
 from ramsey333.cli import build_parser, main
 
 ALL_BLUE_K3 = "coloring/1\nn: 3\nk: 2\ncolors: BBB\n"
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
 
 def _gf16_k15_document():
     return serialize(delete_vertex(construct_gf16(), 0), k=3)
+
+
+def _all_blue_k60(tmp_path):
+    doc = tmp_path / "k60.txt"
+    doc.write_text(f"coloring/1\nn: 60\nk: 3\ncolors: {'B' * comb(60, 2)}\n")
+    return doc
 
 
 def run(argv, stdin="", monkeypatch=None, capsys=None):
@@ -412,13 +424,108 @@ def test_missing_file_exit_code(capsys):
 def test_count_list_into_a_closed_pipe_exits_quietly(tmp_path, flags):
     # `count --list | head -1`: the reader leaving is not bad input (exit 2).
     # The JSON is one 1.4 MB line, so the reader takes one byte, not one line.
-    doc = tmp_path / "k60.txt"
-    doc.write_text(f"coloring/1\nn: 60\nk: 3\ncolors: {'B' * comb(60, 2)}\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    doc = _all_blue_k60(tmp_path)
     proc = subprocess.Popen([sys.executable, "-m", "ramsey333.cli", "count", str(doc), *flags],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     assert proc.stdout.read(1)
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert err == b""
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only how many lines were written to it."""
+
+    lines = 0
+
+    def write(self, s):
+        self.lines += s.count("\n")
+        return len(s)
+
+
+@pytest.mark.parametrize("flags, lines", [(["--list"], 4 + comb(60, 3)),
+                                          (["--json", "--list"], 1)], ids=["list", "json-list"])
+def test_count_list_streams_in_constant_memory(tmp_path, flags, lines):
+    # an all-blue K_60 has C(60,3) = 34,220 triangles; holding them all before
+    # printing took 3.5 MB (--list) and 13.6 MB (--json --list) under tracemalloc
+    doc = _all_blue_k60(tmp_path)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["count", str(doc), *flags]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == lines
+    assert peak < 1 << 20
+
+
+def test_count_json_list_is_the_bytes_of_one_dumps(tmp_path, capsys):
+    # the streamed JSON equals one json.dumps of the whole payload, empty list included
+    colorings = [construct_gf16()] + [random_coloring(n, k, seed) for seed in range(4)
+                                      for n in (3, 4, 7, 11) for k in (2, 3)]
+    doc = tmp_path / "c.txt"
+    empty = 0
+    for c in colorings:
+        cen = census(c)
+        triangles = [{"vertices": [t.i, t.j, t.k], "color": t.color.char} for t in cen.mono_list]
+        empty += not triangles
+        payload = {"n": c.n, "mono": list(cen.mono), "total_mono": cen.total_mono,
+                   "bichromatic": cen.bichromatic, "rainbow": cen.rainbow,
+                   "mono_triangles": triangles}
+        doc.write_text(serialize(c, k=3))
+        assert run(["count", str(doc), "--json", "--list"], capsys=capsys) == (
+            0, json.dumps(payload) + "\n", "")
+    assert 0 < empty < len(colorings)
+
+
+def test_in_process_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # main builds its parser once per process; a parser tree per call left 412
+    # argparse objects in reference cycles, which only the cycle collector frees
+    f = {name: str(tmp_path / name) for name in ("g16", "k15", "ext", "open17", "k17")}
+    spokes = extension_of_vertex(construct_gf16(), 0)
+    Path(f["ext"]).write_text("".join("BRY"[x] for x in spokes) + "\n")
+    calls = (
+        ["construct", "--method", "gf16", "--out", f["g16"]],
+        ["verify", f["g16"]],
+        ["twin-k17", "--color", "B", "--out", f["k17"]],
+        ["count", f["k17"], "--json", "--list"],
+        ["delete-vertex", f["g16"], "--vertex", "0", "--out", f["k15"]],
+        ["extend", f["k15"]],
+        ["assemble", "--base", f["k15"], "--ext-a", f["ext"], "--ext-b", f["ext"],
+         "--out", f["open17"]],
+        ["complete", f["open17"], "--color", "B"],
+        ["export", f["k17"], "--format", "svg", "--highlight-mono"],
+        ["exhaustive", "--n", "6", "--k", "2"],
+        ["search", "--n", "6", "--k", "2", "--seed", "1", "--restarts", "2", "--json"],
+    )
+    assert main(["exhaustive", "--n", "3", "--k", "2"]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+SEARCH = ["search", "--n", "6", "--k", "2", "--seed", "1", "--steps", "300", "--json"]
+
+
+def test_in_process_calls_carry_no_state(capsys):
+    # one parser serves every call, so an option given to one call, or a call
+    # refused mid-parse, must not reach the next: each matches a fresh process
+    proc = subprocess.run([sys.executable, "-m", "ramsey333.cli", *SEARCH], capture_output=True,
+                          text=True, env=CHILD_ENV, timeout=120)
+    fresh = (proc.returncode, proc.stdout, "")
+    assert run([*SEARCH, "--restarts", "3"], capsys=capsys)[0] == 0
+    assert run(SEARCH, capsys=capsys) == fresh
+    with pytest.raises(SystemExit) as exc:
+        main([*SEARCH, "--restarts", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert run(SEARCH, capsys=capsys) == fresh

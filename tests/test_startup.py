@@ -1,7 +1,7 @@
 """The package never imports numpy: not on import, not in a CLI search, not in a climb.
 Nor does importing the CLI pull in `dataclasses`, `inspect` or `hashlib`
 (with OpenSSL's `_hashlib`), which cost a short-lived process more than the
-package itself.
+package itself, or build an argument parser that no command has asked for.
 
 Each check runs in a fresh interpreter, because this test process may have
 imported these modules already.
@@ -27,11 +27,16 @@ print("numpy" in sys.modules)
 """
 
 # Compared before and after the import: some interpreters preload inspect from site.
+# Each ArgumentParser built during the import is counted too: main builds the one it uses.
 IMPORT_CHILD = """
-import sys
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(init(self, *a, **kw))
 before = set(sys.modules)
 import ramsey333.cli
 print(sorted({"dataclasses", "inspect", "hashlib", "_hashlib"} & (set(sys.modules) - before)))
+print(len(built))
 """
 
 
@@ -48,4 +53,4 @@ def test_numpy_is_never_imported():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    assert _run_child(IMPORT_CHILD).strip() == "[]"
+    assert _run_child(IMPORT_CHILD).split("\n") == ["[]", "0", ""]

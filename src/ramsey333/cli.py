@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .coloring import Color, _mono_triangles, census, delete_vertex
+from .coloring import _CHARS, _TO_CHARS, Color, _color_bytes, _mono_triangles, census, delete_vertex
 from .constructions import construct_gf16, cylinder_template
 from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
@@ -66,13 +66,12 @@ def _load_coloring(path: str):
 
 
 def _load_extension(path: str) -> bytes:
-    text = _read(path).strip()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
     if len(lines) != 1:
         raise FormatError(
             f"extension file must contain exactly one spoke string, got {len(lines)} lines"
         )
-    return bytes(Color.from_char(ch) for ch in lines[0].strip())
+    return _color_bytes(lines[0].strip())
 
 
 def cmd_construct(args) -> int:
@@ -109,12 +108,10 @@ def cmd_count(args) -> int:
             "rainbow": cen.rainbow,
         })
         if args.list:  # streamed, byte for byte what json.dumps gives with this last key
-            sys.stdout.write(text[:-1] + ', "mono_triangles": [')
-            sep = ""
-            for t in _mono_triangles(c):
-                sys.stdout.write(sep + json.dumps({"vertices": [t.i, t.j, t.k],
-                                                   "color": t.color.char}))
-                sep = ", "
+            items = (f'{{"vertices": [{t.i}, {t.j}, {t.k}], "color": "{_CHARS[t.color]}"}}'
+                     for t in _mono_triangles(c))
+            sys.stdout.write(text[:-1] + ', "mono_triangles": [' + next(items, ""))
+            sys.stdout.writelines(", " + item for item in items)
             text = "]}"
         print(text)
         return EXIT_OK
@@ -126,8 +123,7 @@ def cmd_count(args) -> int:
         print(f"bichromatic: {cen.bichromatic}")
         print(f"rainbow: {cen.rainbow}")
     if args.list:
-        for t in _mono_triangles(c):
-            print(f"{t.i} {t.j} {t.k} {t.color.char}")
+        sys.stdout.writelines(f"{t.i} {t.j} {t.k} {_CHARS[t.color]}\n" for t in _mono_triangles(c))
     return EXIT_OK
 
 
@@ -143,12 +139,11 @@ def cmd_delete_vertex(args) -> int:
 def cmd_extend(args) -> int:
     c, _ = _load_coloring(args.file)
     extensions = find_extensions(c)
-    spokes = ["".join("BRY"[x] for x in e) for e in extensions]
+    spokes = [e.translate(_TO_CHARS).decode() for e in extensions]
     if args.json:
         print(json.dumps({"count": len(extensions), "extensions": spokes}))
     else:
-        for line in spokes:
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in spokes)
     return EXIT_OK
 
 
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     file.add_argument("file", nargs="?", default="-")
     out.add_argument("--out")
     as_json.add_argument("--json", action="store_true")
-    color.add_argument("--color", choices=["B", "R", "Y"], required=True)
+    color.add_argument("--color", choices=list(_CHARS), required=True)
 
     def add(name, func, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents)

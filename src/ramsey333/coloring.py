@@ -15,6 +15,7 @@ color's adjacencies into Python ints (no vertex cap), and the triangles through 
 edge (i, j) are the set bits of row_i AND row_j.
 
 Colorings are named tuples, immutable, hashable and re-checked on `_replace`; functions are pure.
+Every text form (documents, spoke lines, triangle lists) spells colors by the B/R/Y tables here.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .errors import BudgetError
 
 CENSUS_BUDGET = 1 << 22  # most triples C(n,3) that census walks: n <= 294
+_CHARS = "BRY"  # the character of each color value: the one alphabet of every text form
+_TO_CHARS = bytes.maketrans(bytes(range(3)), _CHARS.encode())
+_FROM_CHARS = bytes.maketrans(_CHARS.encode(), bytes(range(3)))
+
+
+def _color_bytes(s: str) -> bytes:
+    """The color values of a string of B/R/Y; ValueError names its first other character."""
+    data = s.encode("latin-1", "replace")  # one byte per character, '?' beyond latin-1
+    if bad := data.translate(None, _CHARS.encode()):
+        raise ValueError(f"not a color character: {s[data.index(bad[0])]!r}")
+    return data.translate(_FROM_CHARS)
 
 
 class Color(IntEnum):
@@ -40,11 +52,11 @@ class Color(IntEnum):
 
     @property
     def char(self) -> str:
-        return "BRY"[self.value]
+        return _CHARS[self.value]
 
     @classmethod
     def from_char(cls, ch: str) -> "Color":
-        idx = "BRY".find(ch) if len(ch) == 1 else -1
+        idx = _CHARS.find(ch) if len(ch) == 1 else -1
         if idx < 0:
             raise ValueError(f"not a color character: {ch!r}")
         return cls(idx)
@@ -88,8 +100,8 @@ def _record(name: str, fields: str, **kwargs) -> type:
 
 def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
     """`data` as the C(n, 2) bytes of K_n's edges, each in `allowed`; `noun` names one."""
-    if not 1 <= n < 10**18:  # a larger n's C(n, 2) would not fit in memory, nor in a message
-        raise ValueError("vertex count must be at least 1 and below 10**18")
+    if isinstance(n, bool) or not 1 <= n < 10**18:  # a larger n's C(n, 2) fits no memory
+        raise ValueError("vertex count must be an int (not a bool) at least 1 and below 10**18")
     if isinstance(data, int):  # bytes(3) would be three zero bytes
         raise TypeError(f"{noun}s must be a byte sequence, not an int")
     data = bytes(data)  # a bytearray would be unhashable
@@ -118,7 +130,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
 
     @classmethod
     def from_string(cls, n: int, s: str) -> "EdgeColoring":
-        return cls(n, bytes(Color.from_char(ch) for ch in s))
+        return cls(n, _color_bytes(s))
 
     def color(self, i: int, j: int) -> Color:
         if i > j:
@@ -126,7 +138,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
         return Color(self.colors[edge_index(i, j, self.n)])
 
     def color_string(self) -> str:
-        return "".join("BRY"[b] for b in self.colors)
+        return self.colors.translate(_TO_CHARS).decode()
 
     def recolored(self, ordinal: int, x: Color) -> "EdgeColoring":
         """Copy with one edge changed."""

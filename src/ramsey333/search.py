@@ -35,8 +35,8 @@ _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high
 def _check_size(n: int, k: int) -> None:
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    if n < 1:
-        raise ValueError("n must be positive")
+    if isinstance(n, bool) or n < 1:  # a bool n would be written back as True
+        raise ValueError("n must be positive (an int, not a bool)")
 
 
 def _check_seed(seed: int) -> None:

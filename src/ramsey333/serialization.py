@@ -9,7 +9,7 @@ Version 1 layout, in this exact order:
     meta.<key>: <value>        zero or more, sorted by key
 
 `k` is the number of colors the document admits; the colors string may only
-use the first k characters of "BRY".  Meta entries are free-form provenance
+use the first k of B, R, Y.  Meta entries are free-form provenance
 (method, seed, parameters); unknown meta keys are preserved and ignored.
 Serialization is byte-stable: equal inputs give equal documents.
 
@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from math import comb
 
-from .coloring import EdgeColoring, _record
+from .coloring import _CHARS, EdgeColoring, _record
 from .errors import FormatError
 from .templates import ColoringTemplate
 
 FORMAT_TAG = "coloring/1"
-# Document character of each template domain mask: a color, '?' for all three, '.' for none.
-_MASK_CHARS = ".BR.Y..?"
+# Document character of each domain mask 0-7: a color, '?' for all three, '.' (refused) otherwise
+_MASK_CHARS = b".BR.Y..?"
+_TO_MASK_CHARS = bytes.maketrans(bytes(range(8)), _MASK_CHARS)
+_FROM_MASK_CHARS = bytes.maketrans(_MASK_CHARS, bytes(range(8)))
 
 
 def _one_line(s: str) -> bool:
@@ -44,16 +46,17 @@ class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
     def __new__(cls, n, k, colors, meta=None):
         if k not in (2, 3):
             raise FormatError(f"k must be 2 or 3, got {k}")
-        if not 0 < n < 10**18:  # the reader's 18 digits; C(n, 2) of a larger n may not print
-            raise FormatError("n must be positive, with at most 18 digits")
+        if isinstance(n, bool) or not 0 < n < 10**18:  # what the reader gives back
+            raise FormatError("n must be a positive int (not a bool), with at most 18 digits")
+        if not isinstance(colors, str):  # the writer would print a list's repr
+            raise FormatError(f"colors must be a string, not {type(colors).__name__}")
         expected = comb(n, 2)
         if len(colors) != expected:
             raise FormatError(
                 f"colors string must have length C({n},2) = {expected}, got {len(colors)}"
             )
-        allowed = "BRY"[:k] + "?"
-        bad = set(colors) - set(allowed)
-        if bad:
+        allowed = _CHARS[:k] + "?"
+        if bad := set(colors) - set(allowed):
             raise FormatError(f"colors string uses characters outside {allowed!r}: {sorted(bad)}")
         # A copy, or a later edit of the caller's dict would skip these checks.  Whatever
         # the reader would split or strip is refused, so every document written reads back equal.
@@ -71,7 +74,7 @@ class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
         return EdgeColoring.from_string(self.n, self.colors)
 
     def to_template(self) -> ColoringTemplate:
-        return ColoringTemplate(self.n, bytes(map(_MASK_CHARS.index, self.colors)))
+        return ColoringTemplate(self.n, self.colors.encode().translate(_FROM_MASK_CHARS))
 
     def to_text(self) -> str:
         lines = [FORMAT_TAG, f"n: {self.n}", f"k: {self.k}", f"colors: {self.colors}"]
@@ -128,7 +131,7 @@ def serialize_template(t: ColoringTemplate, meta: dict[str, str] | None = None) 
     """
     if t.couplings:
         raise FormatError("templates with couplings have no document form")
-    chars = "".join(_MASK_CHARS[d] for d in t.domains)
+    chars = t.domains.translate(_TO_MASK_CHARS).decode()
     if (o := chars.find(".")) >= 0:
         raise FormatError(f"edge ordinal {o} has a partial domain; not serializable")
     return ColoringDocument(t.n, 3, chars, meta).to_text()

@@ -251,17 +251,25 @@ def test_full_assembly_pipeline(tmp_path, capsys):
     assert code == 0
 
 
-def test_assemble_refuses_a_two_line_extension_file(tmp_path, capsys):
+@pytest.mark.parametrize("bad, message", [
+    (None, "exactly one spoke string, got 2 lines"),
+    ("X", "not a color character: 'X'"),  # one line, one character outside B/R/Y
+    ("\u00c9", "not a color character: '\u00c9'"),
+], ids=["two-lines", "X", "E-acute"])
+def test_assemble_refuses_a_two_line_extension_file(tmp_path, capsys, bad, message):
     k15 = tmp_path / "k15.txt"
     ext = tmp_path / "ext.txt"
     k15.write_text(_gf16_k15_document())
     line = "".join("BRY"[x] for x in extension_of_vertex(construct_gf16(), 0))
-    ext.write_text(line + "\n" + line + "\n")
+    if bad is None:
+        ext.write_text(line + "\n" + line + "\n")
+    else:
+        ext.write_text(line[:7] + bad + line[8:] + "\n")
     code, out, err = run(["assemble", "--base", str(k15), "--ext-a", str(ext),
                           "--ext-b", str(ext)], capsys=capsys)
     assert code == 2
     assert out == ""
-    assert "exactly one spoke string, got 2 lines" in err
+    assert message in err
 
 
 def test_complete_json(tmp_path, capsys):

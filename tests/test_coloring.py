@@ -1,6 +1,7 @@
 """Core coloring type, census oracle, and the bit-parallel fast path."""
 
 import random
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -59,8 +60,9 @@ def test_coloring_validation():
         EdgeColoring(3, b"\x00\x00")  # wrong length
     with pytest.raises(ValueError):
         EdgeColoring(3, b"\x00\x00\x03")  # not a color
-    with pytest.raises(ValueError):
-        EdgeColoring(0, b"")
+    for n in (0, True):  # a bool n would be written back as True, which no reader takes
+        with pytest.raises(ValueError, match="vertex count"):
+            EdgeColoring(n, b"")
     for bad, o in ((bytearray(b"\x00\x03\x00"), 1), ([0, 0, 3], 2)):
         with pytest.raises(ValueError, match=rf"ordinal {o} must be 0 \(B\), 1 \(R\) or 2 \(Y\), got 3"):
             EdgeColoring(3, bad)
@@ -84,6 +86,15 @@ def test_color_order_and_chars():
     for text in ("G", "", "BR", "RY", "BRY"):  # exactly one character
         with pytest.raises(ValueError):
             Color.from_char(text)
+    # the text form of a whole coloring reads back through the same alphabet
+    for n in range(1, 41):
+        c = random_coloring(n, 3, n)
+        assert EdgeColoring.from_string(n, c.color_string()) == c
+    for ch in ("X", "b", "?", "\u00c9", "\x00"):  # any other character is named, non-ASCII too
+        for at in (0, 1, 2):
+            s = "BRY"[:at] + ch + "BRY"[at + 1:]
+            with pytest.raises(ValueError, match=f"not a color character: {re.escape(repr(ch))}"):
+                EdgeColoring.from_string(3, s)
 
 
 def test_census_single_triangles():

@@ -157,6 +157,8 @@ BAD_INPUTS = [
      ValueError, r"below 10\*\*18"),
     (ColoringTemplate, (10**5000, b"\1"), {"n": 10**5000, "domains": b"\1"},
      ValueError, r"below 10\*\*18"),
+    # a list of characters would be written as its repr, which no reader takes back
+    (ColoringDocument, (2, 2, ["B"]), {"n": 2, "k": 2, "colors": ["B"]}, FormatError, "a string"),
 ]
 
 

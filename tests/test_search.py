@@ -280,6 +280,8 @@ def test_minimize_never_beats_exhaustive():
 def test_search_params_validation():
     with pytest.raises(ValueError):
         SearchParams(n=5, k=4, seed=1)
+    with pytest.raises(ValueError, match="not a bool"):  # its document would say "n: True"
+        SearchParams(n=True, k=3, seed=0, restarts=1)
     with pytest.raises(ValueError):
         SearchParams(n=5, k=3, seed=-1)
     with pytest.raises(ValueError):

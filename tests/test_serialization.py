@@ -89,6 +89,8 @@ def test_parse_rejects_bad_documents():
     for n in (10**2200, 10**5000):  # refused without printing n or C(n, 2)
         with pytest.raises(FormatError, match="at most 18 digits"):
             ColoringDocument(n, 3, "B")
+    with pytest.raises(FormatError, match="not a bool"):  # the writer would put "n: True"
+        ColoringDocument(True, 3, "")
 
 
 @pytest.mark.parametrize("meta", [
@@ -173,6 +175,11 @@ def test_open_edges_take_all_three_colors_and_templates_write_k3():
     t = parse_document("coloring/1\nn: 3\nk: 2\ncolors: B?R\n").to_template()
     assert t.domains == b"\x01\x07\x02"  # B, all three colors, R
     assert serialize_template(t) == "coloring/1\nn: 3\nk: 3\ncolors: B?R\n"
+    for ch, mask in (("B", 1), ("R", 2), ("Y", 4), ("?", 7)):  # each character to its mask and back
+        text = f"coloring/1\nn: 3\nk: 3\ncolors: {ch}B?\n"
+        t = parse_document(text).to_template()
+        assert t.domains == bytes([mask, 1, 7])
+        assert serialize_template(t) == text
 
 
 def _one_open_template():
@@ -183,6 +190,12 @@ def test_template_with_partial_domain_is_not_serializable():
     domains = b"\x01\x02\x06"  # B, R, red or yellow
     with pytest.raises(FormatError, match="edge ordinal 2 has a partial domain"):
         serialize_template(ColoringTemplate(3, domains))
+    for mask in (3, 5, 6):  # every two-color domain, at the first and the last ordinal of K_5
+        for o in (0, 9):
+            domains = bytearray(b"\x07" * 10)
+            domains[o] = mask
+            with pytest.raises(FormatError, match=f"edge ordinal {o} has a partial domain"):
+                serialize_template(ColoringTemplate(5, domains))
     coupled = ColoringTemplate(3, b"\x07\x07\x07", [Coupling(0, 1, 1)])
     with pytest.raises(FormatError, match="couplings"):
         serialize_template(coupled)

@@ -35,6 +35,12 @@ _TO_CHARS = bytes.maketrans(bytes(range(3)), _CHARS.encode())
 _FROM_CHARS = bytes.maketrans(_CHARS.encode(), bytes(range(3)))
 
 
+def _check_int(value, lo, hi, message: str, error: type[ValueError] = ValueError) -> None:
+    """The one integer rule: error(message) unless value is an int, not a bool, in [lo, hi)."""
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value < hi:
+        raise error(message)
+
+
 def _color_bytes(s: str) -> bytes:
     """The color values of a string of B/R/Y; ValueError names its first other character."""
     data = s.encode("latin-1", "replace")  # one byte per character, '?' beyond latin-1
@@ -100,8 +106,8 @@ def _record(name: str, fields: str, **kwargs) -> type:
 
 def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
     """`data` as the C(n, 2) bytes of K_n's edges, each in `allowed`; `noun` names one."""
-    if isinstance(n, bool) or not 1 <= n < 10**18:  # a larger n's C(n, 2) fits no memory
-        raise ValueError("vertex count must be an int (not a bool) at least 1 and below 10**18")
+    # a bool n would be written back as True; a larger n's C(n, 2) fits no memory
+    _check_int(n, 1, 10**18, "vertex count must be an int (not a bool) at least 1 and below 10**18")
     if isinstance(data, int):  # bytes(3) would be three zero bytes
         raise TypeError(f"{noun}s must be a byte sequence, not an int")
     data = bytes(data)  # a bytearray would be unhashable
@@ -142,8 +148,8 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
 
     def recolored(self, ordinal: int, x: Color) -> "EdgeColoring":
         """Copy with one edge changed."""
-        if not 0 <= ordinal < len(self.colors):
-            raise ValueError(f"edge ordinal {ordinal} out of range")
+        m = len(self.colors)
+        _check_int(ordinal, 0, m, f"edge ordinal {ordinal} out of range (an int, not a bool)")
         buf = bytearray(self.colors)
         buf[ordinal] = int(x)
         return EdgeColoring(self.n, bytes(buf))
@@ -295,8 +301,7 @@ def permute_vertices(c: EdgeColoring, rho: Sequence[int]) -> EdgeColoring:
 
 def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
     """Coloring of K_{n-1} on the remaining vertices; indices above v shift down."""
-    if not 0 <= v < c.n:
-        raise ValueError(f"vertex {v} out of range for n={c.n}")
+    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
     if c.n < 2:
         raise ValueError("cannot delete a vertex from K_1")
     # Relabelling the kept vertices is monotone, so the edges avoiding v stay in ordinal order.
@@ -306,7 +311,6 @@ def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
 
 def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:
     """Number of edges of each color at vertex v; sums to n - 1."""
-    if not 0 <= v < c.n:
-        raise ValueError(f"vertex {v} out of range for n={c.n}")
+    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
     rows = bit_rows(c)
     return tuple(rows[x][v].bit_count() for x in range(3))

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import NamedTuple
 
 from .coloring import (
-    Color, EdgeColoring, _edge_at, _record, _spoke_dfs, bit_rows, toggle
+    Color, EdgeColoring, _check_int, _edge_at, _record, _spoke_dfs, bit_rows, toggle
 )
 from .errors import BudgetError
 
@@ -33,15 +33,14 @@ _TOP_TWO_BITS = bytes(b >> 6 for b in range(256))  # maps a byte to its two high
 
 
 def _check_size(n: int, k: int) -> None:
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if isinstance(n, bool) or n < 1:  # a bool n would be written back as True
-        raise ValueError("n must be positive (an int, not a bool)")
+    _check_int(k, 2, 4, "k must be 2 or 3 (an int, not a bool)")
+    # a bool n would be written back as True
+    _check_int(n, 1, inf, "n must be positive (an int, not a bool)")
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 1 << 64:  # random.Random would seed -s as s
-        raise ValueError("seed must fit in 64 bits")
+    # random.Random would seed -s as s
+    _check_int(seed, 0, 1 << 64, "seed must fit in 64 bits (an int, not a bool)")
 
 
 class SearchParams(_record(
@@ -53,10 +52,11 @@ class SearchParams(_record(
         self = super().__new__(cls, *args, **kwargs)
         _check_size(self.n, self.k)
         _check_seed(self.seed)
-        if self.restarts < 1 or self.steps_per_restart < 1:
-            raise ValueError("restarts and steps_per_restart must be positive")
-        if self.sideways_limit < 0:
-            raise ValueError("sideways_limit must be nonnegative")
+        _check_int(self.restarts, 1, inf, "restarts must be positive (an int, not a bool)")
+        _check_int(self.steps_per_restart, 1, inf,
+                   "steps_per_restart must be positive (an int, not a bool)")
+        _check_int(self.sideways_limit, 0, inf,
+                   "sideways_limit must be nonnegative (an int, not a bool)")
         return self
 
 
@@ -90,8 +90,7 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
     x-neighbors of the endpoints, the triangles lost are the common
     current-color neighbors.
     """
-    if not 0 <= edge < len(c.colors):
-        raise ValueError(f"edge ordinal {edge} out of range")
+    _check_int(edge, 0, len(c.colors), f"edge ordinal {edge} out of range (an int, not a bool)")
     cur = c.colors[edge]
     x = Color(x)
     if x == cur:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .coloring import _CHARS, EdgeColoring, _record
+from .coloring import _CHARS, EdgeColoring, _check_int, _record
 from .errors import FormatError
 from .templates import ColoringTemplate
 
@@ -44,10 +44,9 @@ class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
     __slots__ = ()
 
     def __new__(cls, n, k, colors, meta=None):
-        if k not in (2, 3):
-            raise FormatError(f"k must be 2 or 3, got {k}")
-        if isinstance(n, bool) or not 0 < n < 10**18:  # what the reader gives back
-            raise FormatError("n must be a positive int (not a bool), with at most 18 digits")
+        _check_int(k, 2, 4, "k must be 2 or 3 (an int, not a bool)", FormatError)
+        _check_int(n, 1, 10**18, "n must be a positive int (not a bool), with at most 18 digits",
+                   FormatError)  # what the reader gives back
         if not isinstance(colors, str):  # the writer would print a list's repr
             raise FormatError(f"colors must be a string, not {type(colors).__name__}")
         expected = comb(n, 2)

@@ -20,6 +20,7 @@ from .coloring import (
     Color,
     EdgeColoring,
     TriangleCensus,
+    _check_int,
     _edge_at,
     _spoke_dfs,
     bit_rows,
@@ -46,8 +47,7 @@ class AssemblyReport(NamedTuple):
 
 def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
     """The spoke colors vertex v already has in c, indexed like delete_vertex(c, v)."""
-    if not 0 <= v < c.n:
-        raise ValueError(f"vertex {v} out of range for n={c.n}")
+    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
     # The edges at v come in ordinal order: (u, v) by u below v, then (v, w) by w above it.
     return bytes(x for e, x in zip(combinations(range(c.n), 2), c.colors) if v in e)
 

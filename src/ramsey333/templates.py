@@ -19,10 +19,11 @@ is fixed, so the first solution is canonical; SOLVE_BUDGET caps its DFS nodes.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple
 
-from .coloring import Color, EdgeColoring, _edge_at, _edge_bytes, _record, toggle
+from .coloring import Color, EdgeColoring, _check_int, _edge_at, _edge_bytes, _record, toggle
 from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
@@ -45,15 +46,12 @@ class ColoringTemplate(_record("ColoringTemplate", "n domains couplings")):
     def __new__(cls, n, domains, couplings=()):
         domains = _edge_bytes(n, domains, "domain", bytes(range(1, 8)), "a color mask 1-7")
         couplings = tuple(cp if type(cp) is Coupling else Coupling(*cp) for cp in couplings)
-        for cp in couplings:
-            if not type(cp.src) is type(cp.dst) is type(cp.shift) is int:
-                raise ValueError(f"coupling fields must be ints: {cp}")
-            if not (0 <= cp.src < len(domains) and 0 <= cp.dst < len(domains)):
-                raise ValueError(f"coupling ordinal out of range: {cp}")
+        for cp in couplings:  # messages name no coupling: a template may carry many
+            _check_int(cp.src, 0, len(domains), "coupling ordinals must be ints below C(n, 2)")
+            _check_int(cp.dst, 0, len(domains), "coupling ordinals must be ints below C(n, 2)")
+            _check_int(cp.shift, 0, 3, "coupling shifts must be ints 0, 1 or 2")
             if cp.src == cp.dst:
                 raise ValueError(f"coupling ties an edge to itself: {cp}")
-            if cp.shift not in (0, 1, 2):
-                raise ValueError(f"coupling shift must be 0, 1 or 2: {cp}")
         return super().__new__(cls, n, domains, couplings)
 
     @classmethod
@@ -95,8 +93,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
     propagated eagerly) until `limit` are taken.  An empty list means none exists.
     Raises BudgetError mid-search at node SOLVE_BUDGET + 1 (50 cylinder solutions visit 30,201).
     """
-    if limit < 1:
-        raise ValueError("limit must be positive")
+    _check_int(limit, 1, sys.maxsize + 1, "limit must be an int from 1 to sys.maxsize")
     n = t.n
     m = len(t.domains)
     edges = tuple(combinations(range(n), 2))
@@ -172,6 +169,6 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
                 assigned[e] = UNSET
 
     try:
-        return list(islice(completions(0), limit))  # islice refuses a limit past sys.maxsize
+        return list(islice(completions(0), limit))  # islice takes a limit up to sys.maxsize
     finally:
         del completions  # it refers to itself; a refused solve is freed without the collector too

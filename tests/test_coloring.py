@@ -265,8 +265,9 @@ def test_delete_vertex_basics():
     assert k2 == EdgeColoring.from_string(2, "B")
     k15 = delete_vertex(construct_gf16(), 3)
     assert k15.n == 15 and census(k15).mono == (0, 0, 0)
-    with pytest.raises(ValueError):
-        delete_vertex(ALL_B_K3, 3)
+    for v in (3, 3.0, 1.0, True):  # a float or a bool vertex is refused, not taken as its int
+        with pytest.raises(ValueError, match="out of range"):
+            delete_vertex(ALL_B_K3, v)
     with pytest.raises(ValueError, match="K_1"):
         delete_vertex(EdgeColoring(1, b""), 0)
 
@@ -286,8 +287,9 @@ def test_color_degree_profile():
     for v in range(16):
         assert color_degree_profile(g, v) == (5, 5, 5)
     assert color_degree_profile(ALL_B_K3, 0) == (2, 0, 0)
-    with pytest.raises(ValueError):
-        color_degree_profile(ALL_B_K3, 5)
+    for v in (5, 3.0, 1.0, True):
+        with pytest.raises(ValueError, match="out of range"):
+            color_degree_profile(ALL_B_K3, v)
 
 
 def test_profile_handshake():
@@ -309,6 +311,6 @@ def test_recolored():
     c = ALL_B_K3.recolored(1, Color.RED)
     assert c.color_string() == "BRB"
     assert ALL_B_K3.color_string() == "BBB"  # original untouched
-    for ordinal in (-1, 3):
+    for ordinal in (-1, 3, 3.0, 1.0, True):  # a float or a bool ordinal is refused too
         with pytest.raises(ValueError, match="out of range"):
             ALL_B_K3.recolored(ordinal, Color.RED)

@@ -8,12 +8,14 @@ from ramsey333 import (
     COLORS,
     CYLINDER_LABELS,
     Color,
+    EdgeColoring,
     census,
     color_degree_profile,
     construct_gf16,
     cubic_classes,
     cylinder_template,
     edge_index,
+    fast_mono_counts,
     sigma,
     solve_template,
     template_violations,
@@ -179,3 +181,18 @@ def test_cylinder_blocks_decompose_into_five_cycles():
             for x in seen_colors:
                 degs = [sum(1 for w in block if w != v and s.color(v, w) == x) for v in block]
                 assert degs == [2] * 5
+
+
+def test_chord_length_colourings_of_k17_carry_at_least_17_triangles():
+    # Colour K_17 by chord length min(|i - j|, 17 - |i - j|), length 1 blue (up to a
+    # colour permutation).  These are exactly the colourings that every rotation of the
+    # 17-gon keeps, and none comes near the five triangles of twin_k17.
+    counts = []
+    for choice in product(range(3), repeat=7):  # lengths 2 to 8
+        length_color = (None, 0) + choice
+        c = EdgeColoring(17, bytes(length_color[min(j - i, 17 - j + i)]
+                                   for i, j in combinations(range(17), 2)))
+        counts.append(sum(fast_mono_counts(c)))
+    assert len(counts) == 3**7 == 2187
+    assert min(counts) == 17
+    assert counts.count(17) == 64

@@ -159,7 +159,29 @@ BAD_INPUTS = [
      ValueError, r"below 10\*\*18"),
     # a list of characters would be written as its repr, which no reader takes back
     (ColoringDocument, (2, 2, ["B"]), {"n": 2, "k": 2, "colors": ["B"]}, FormatError, "a string"),
+    # a k too long for str() is refused without printing it
+    (ColoringDocument, (2, 10**5000, "B"), {"n": 2, "k": 10**5000, "colors": "B"},
+     FormatError, "k must be 2 or 3"),
 ]
+# Every int field refuses a float, which would fail late or not at all, and a bool,
+# which would be written back as True: (record, valid fields in order, field, error, message)
+_SEARCH = {"n": 5, "k": 2, "seed": 1, "restarts": 1, "steps_per_restart": 1, "sideways_limit": 0}
+INT_FIELDS = [
+    (EdgeColoring, {"n": 3, "colors": b"\0\0\0"}, "n", ValueError, "vertex count"),
+    (ColoringTemplate, {"n": 3, "domains": b"\1\1\1"}, "n", ValueError, "vertex count"),
+    (SearchParams, _SEARCH, "n", ValueError, "n must be positive"),
+    (SearchParams, _SEARCH, "k", ValueError, "k must be 2 or 3"),
+    (SearchParams, _SEARCH, "seed", ValueError, "64 bits"),
+    (SearchParams, _SEARCH, "restarts", ValueError, "restarts must be positive"),
+    (SearchParams, _SEARCH, "steps_per_restart", ValueError, "steps_per_restart must be positive"),
+    (SearchParams, _SEARCH, "sideways_limit", ValueError, "sideways_limit must be nonnegative"),
+    (ColoringDocument, {"n": 3, "k": 3, "colors": "BRY"}, "n", FormatError, "n must be a positive"),
+    (ColoringDocument, {"n": 3, "k": 3, "colors": "BRY"}, "k", FormatError, "k must be 2 or 3"),
+]
+for record, good, field, error, message in INT_FIELDS:
+    for bad in (3.0, True):
+        kwargs = {**good, field: bad}
+        BAD_INPUTS.append((record, tuple(kwargs.values()), kwargs, error, message))
 
 
 @pytest.mark.parametrize("record, args, kwargs, error, message", BAD_INPUTS)

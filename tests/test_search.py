@@ -90,8 +90,9 @@ def test_move_delta_triangle():
     assert move_delta(recolored, 0, Color.BLUE) == 1
     with pytest.raises(ValueError):
         move_delta(k3, 0, Color.BLUE)
-    with pytest.raises(ValueError):
-        move_delta(k3, 99, Color.RED)
+    for edge in (99, 1.0, True):  # a float or a bool ordinal is refused, not taken as its int
+        with pytest.raises(ValueError, match="out of range"):
+            move_delta(k3, edge, Color.RED)
 
 
 def test_move_delta_matches_recount():
@@ -254,6 +255,15 @@ def test_minimize_reaches_known_minima():
     assert res.best_count == 0
 
 
+def test_panel_seed_4_carries_two_triangles_per_colour():
+    # The paper asks for the fewest triangles "with the same color" in K_17.  Read per
+    # colour, this witness shows that 2 is reachable: six triangles, two in each colour.
+    res = minimize(SearchParams(17, 3, seed=4, restarts=40, steps_per_restart=20000,
+                                sideways_limit=400))
+    assert res.best_count == 6
+    assert census(res.best).mono == (2, 2, 2)
+
+
 def _goodman(n):
     # Goodman (1959): the fewest monochromatic triangles in a 2-coloring of K_n
     return comb(n, 3) - n * ((n - 1) ** 2 // 4) // 2
@@ -295,6 +305,15 @@ def test_search_params_validation():
     (random_coloring, (3, 4, 1), "k must be 2 or 3"),
     (exhaustive_min, (0, 2), "n must be positive"),
     (exhaustive_min, (3, 4), "k must be 2 or 3"),
+    # a float would fail late in comb or range, and a bool n would be written back as True
+    (random_coloring, (3.0, 3, 1), "n must be positive"),
+    (random_coloring, (True, 3, 1), "n must be positive"),
+    (random_coloring, (3, 3.0, 1), "k must be 2 or 3"),
+    (random_coloring, (3, 3, 3.0), "seed must fit in 64 bits"),
+    (random_coloring, (3, 3, True), "seed must fit in 64 bits"),
+    (exhaustive_min, (3.0, 2), "n must be positive"),
+    (exhaustive_min, (3, 3.0), "k must be 2 or 3"),
+    (exhaustive_min, (3, True), "k must be 2 or 3"),
 ])
 def test_bad_sizes_and_color_counts_are_refused(call, args, message):
     with pytest.raises(ValueError, match=message):

@@ -91,6 +91,13 @@ def test_parse_rejects_bad_documents():
             ColoringDocument(n, 3, "B")
     with pytest.raises(FormatError, match="not a bool"):  # the writer would put "n: True"
         ColoringDocument(True, 3, "")
+    # a float n or k is a format error too, not a TypeError from comb or a slice
+    for n, k in ((3.0, 3), (3, 3.0), (3, True)):
+        with pytest.raises(FormatError, match="not a bool"):
+            ColoringDocument(n, k, "BRY")
+    for k in (2.0, 3.0, True):
+        with pytest.raises(FormatError, match="k must be 2 or 3"):
+            serialize(EdgeColoring.from_string(3, "BBB"), k=k)
 
 
 @pytest.mark.parametrize("meta", [

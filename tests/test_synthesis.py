@@ -77,7 +77,7 @@ def test_gf16_k15_extension_is_unique():
     assert exts[0] == extension_of_vertex(construct_gf16(), 0)
     assert type(exts[0]) is bytes
     assert type(extension_of_vertex(construct_gf16(), 0)) is bytes
-    for v in (-1, 16):
+    for v in (-1, 16, 3.0, True):  # a float or a bool vertex is refused, not taken as its int
         with pytest.raises(ValueError, match="out of range"):
             extension_of_vertex(construct_gf16(), v)
 

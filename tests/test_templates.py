@@ -93,7 +93,8 @@ def test_couplings_are_normalised():
     assert all(type(cp) is Coupling for cp in plain.couplings)
     hash(ColoringTemplate(3, [FULL] * 3, [Coupling(0, 1, 1)]))  # from a list of couplings
     assert solve_template(plain, limit=30) == solve_template(coupled, limit=30)
-    for bad in (Coupling(0.0, 1, 1), (0, 1.0, 1), (0, 1, "1")):
+    for bad in (Coupling(0.0, 1, 1), (0, 1.0, 1), (0, 1, "1"), (3.0, 1, 1), (True, 2, 1),
+                (0, True, 1), (0, 1, 3.0), (0, 1, True)):
         with pytest.raises(ValueError, match="must be ints"):
             ColoringTemplate(3, [FULL] * 3, [bad])
 
@@ -187,7 +188,7 @@ def test_limit_must_be_positive():
         solve_template(t, limit=0)
     # islice takes the first `limit`: an int from 1 to sys.maxsize, checked
     # before any node is visited
-    for limit in (1.5, sys.maxsize + 1):
+    for limit in (1.5, 3.0, True, sys.maxsize + 1):
         with pytest.raises(ValueError):
             solve_template(t, limit=limit)
     assert len(solve_template(t, limit=sys.maxsize)) == 3**3 - 3  # all but the monochromatic

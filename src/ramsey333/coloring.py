@@ -3,7 +3,7 @@
 Every edge of K_n carries one of three colors: blue, red, yellow.  Edges are
 numbered by the lexicographic ordinal of the pair (i, j) with i < j, so a
 coloring is a byte string of length C(n, 2) and serializes canonically.
-Walks over that order iterate combinations(range(n), 2); no pair table is kept.
+Walks iterate combinations(range(n), 2); vertex maps `_gather` pairs via a per-call row-start list.
 
 Triangle counting comes in two flavors.  `census` is the brute-force oracle:
 it walks all C(n, 3) vertex triples and classifies each as monochromatic,
@@ -74,11 +74,33 @@ class Color(IntEnum):
 COLORS = (Color.BLUE, Color.RED, Color.YELLOW)
 
 
+def _color(x) -> Color:
+    """x as a Color; ValueError unless it is an int, not a bool, in [0, 3)."""
+    _check_int(x, 0, 3, f"color must be 0 (B), 1 (R) or 2 (Y) (an int, not a bool), got {x!r}")
+    return COLORS[x]
+
+
+def _row_start(i: int, n: int) -> int:
+    """The one ordinal formula: edge (i, j), i < j < n, has ordinal _row_start(i, n) + j."""
+    return i * (2 * n - i - 1) // 2 - i - 1
+
+
 def edge_index(i: int, j: int, n: int) -> int:
     """Ordinal of edge (i, j), i < j, in lexicographic order: (0,1), (0,2), ..."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"invalid edge ({i}, {j}) for n={n}")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+    # plain ints take no call (cylinder_template asks 120 times); only the others format a message
+    if not (type(i) is type(j) is type(n) is int and 0 <= i < j < n):
+        message = f"invalid edge ({i}, {j}) for n={n}"
+        _check_int(n, 2, n + 1, message)  # any int size; an int subclass passes all three
+        _check_int(i, 0, j, message)
+        _check_int(j, i + 1, n, message)
+    return _row_start(i, n) + j
+
+
+def _gather(c: EdgeColoring, pairs: Iterator[tuple[int, int]]) -> bytes:
+    """The colors of distinct vertex pairs (u, v), in either order, by one row-start list."""
+    cols = c.colors
+    base = [_row_start(i, c.n) for i in range(c.n)]
+    return bytes(cols[base[u] + v] if u < v else cols[base[v] + u] for u, v in pairs)
 
 
 def _edge_at(o: int, n: int) -> tuple[int, int]:
@@ -139,9 +161,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
         return cls(n, _color_bytes(s))
 
     def color(self, i: int, j: int) -> Color:
-        if i > j:
-            i, j = j, i
-        return Color(self.colors[edge_index(i, j, self.n)])
+        return COLORS[self.colors[edge_index(min(i, j), max(i, j), self.n)]]
 
     def color_string(self) -> str:
         return self.colors.translate(_TO_CHARS).decode()
@@ -151,7 +171,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
         m = len(self.colors)
         _check_int(ordinal, 0, m, f"edge ordinal {ordinal} out of range (an int, not a bool)")
         buf = bytearray(self.colors)
-        buf[ordinal] = int(x)
+        buf[ordinal] = _color(x)
         return EdgeColoring(self.n, bytes(buf))
 
 
@@ -244,8 +264,7 @@ def census(c: EdgeColoring) -> TriangleCensus:
     mono = [0, 0, 0]
     bi = 0
     rainbow = 0
-    # base[i] + j is the ordinal of edge (i, j)
-    base = [i * (2 * n - i - 1) // 2 - (i + 1) for i in range(n)]
+    base = [_row_start(i, n) for i in range(n)]
     for i in range(n - 2):
         bi_base = base[i]
         for j in range(i + 1, n - 1):
@@ -278,25 +297,22 @@ def fast_mono_counts(c: EdgeColoring) -> tuple[int, int, int]:
 
 def permute_colors(c: EdgeColoring, pi: Mapping[Color, Color]) -> EdgeColoring:
     """Replace every edge color x by pi[x]; pi must be a bijection on the colors."""
-    if any(x not in pi for x in COLORS) or {Color(pi[x]) for x in COLORS} != set(COLORS):
+    if any(x not in pi for x in COLORS) or {_color(pi[x]) for x in COLORS} != set(COLORS):
         raise ValueError("color permutation must be a bijection on {B, R, Y}")
     table = bytearray(range(256))
     for x in COLORS:
-        table[x.value] = Color(pi[x]).value
+        table[x] = pi[x]
     return EdgeColoring(c.n, c.colors.translate(bytes(table)))
 
 
 def permute_vertices(c: EdgeColoring, rho: Sequence[int]) -> EdgeColoring:
     """Relabel vertices: edge (rho[i], rho[j]) in the result gets the color of (i, j)."""
+    for r in rho:  # sorted() alone would take [True, 0, 2] or [0.0, 1, 2]
+        _check_int(r, 0, c.n, "vertex permutation must be a bijection on range(n)")
     if sorted(rho) != list(range(c.n)):
         raise ValueError("vertex permutation must be a bijection on range(n)")
-    out = bytearray(len(c.colors))
-    for o, (i, j) in enumerate(combinations(range(c.n), 2)):
-        a, b = rho[i], rho[j]
-        if a > b:
-            a, b = b, a
-        out[edge_index(a, b, c.n)] = c.colors[o]
-    return EdgeColoring(c.n, bytes(out))
+    inv = sorted(range(c.n), key=rho.__getitem__)  # rho[inv[a]] == a: (a, b) reads (inv[a], inv[b])
+    return EdgeColoring(c.n, _gather(c, combinations(inv, 2)))
 
 
 def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
@@ -304,9 +320,7 @@ def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
     _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
     if c.n < 2:
         raise ValueError("cannot delete a vertex from K_1")
-    # Relabelling the kept vertices is monotone, so the edges avoiding v stay in ordinal order.
-    edges = combinations(range(c.n), 2)
-    return EdgeColoring(c.n - 1, bytes(x for e, x in zip(edges, c.colors) if v not in e))
+    return EdgeColoring(c.n - 1, _gather(c, combinations([u for u in range(c.n) if u != v], 2)))
 
 
 def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .coloring import COLORS, Color, EdgeColoring, edge_index
+from .coloring import COLORS, Color, EdgeColoring, _color, edge_index
 from .templates import FULL, ColoringTemplate, Coupling
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
@@ -34,7 +34,7 @@ CYLINDER_LABELS = ("O",) + tuple(f"{g}{i}" for g in "ABC" for i in range(1, 6))
 
 def sigma(x: Color) -> Color:
     """The cyclic color shift Red -> Yellow -> Blue -> Red; sigma^3 = identity."""
-    return Color((x + 1) % 3)
+    return COLORS[(_color(x) + 1) % 3]
 
 
 def cubic_classes() -> tuple[frozenset[int], frozenset[int], frozenset[int]]:

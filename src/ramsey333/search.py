@@ -22,7 +22,7 @@ from math import comb, inf
 from typing import NamedTuple
 
 from .coloring import (
-    Color, EdgeColoring, _check_int, _edge_at, _record, _spoke_dfs, bit_rows, toggle
+    Color, EdgeColoring, _check_int, _color, _edge_at, _record, _spoke_dfs, bit_rows, toggle
 )
 from .errors import BudgetError
 
@@ -92,7 +92,7 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
     """
     _check_int(edge, 0, len(c.colors), f"edge ordinal {edge} out of range (an int, not a bool)")
     cur = c.colors[edge]
-    x = Color(x)
+    x = _color(x)
     if x == cur:
         raise ValueError("recoloring an edge with its current color is a no-op")
     u, v = _edge_at(edge, c.n)

@@ -13,7 +13,6 @@ spoke color class: five triangles, all in the chosen color.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .coloring import (
@@ -21,7 +20,9 @@ from .coloring import (
     EdgeColoring,
     TriangleCensus,
     _check_int,
+    _color,
     _edge_at,
+    _gather,
     _spoke_dfs,
     bit_rows,
     census,
@@ -48,8 +49,7 @@ class AssemblyReport(NamedTuple):
 def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
     """The spoke colors vertex v already has in c, indexed like delete_vertex(c, v)."""
     _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
-    # The edges at v come in ordinal order: (u, v) by u below v, then (v, w) by w above it.
-    return bytes(x for e, x in zip(combinations(range(c.n), 2), c.colors) if v in e)
+    return _gather(c, ((u, v) for u in range(c.n) if u != v))
 
 
 def _require_triangle_free(c: EdgeColoring, prefix: str) -> None:
@@ -124,11 +124,11 @@ def complete_edge(t: ColoringTemplate, x: Color) -> AssemblyReport:
         raise ValueError("template must have exactly one open edge with the full color domain")
     o = opens[0]
     colors = bytearray(d.bit_length() - 1 for d in t.domains)  # singleton mask -> color
-    colors[o] = Color(x).value
+    colors[o] = x = _color(x)
     c = EdgeColoring(t.n, bytes(colors))
     u, v = _edge_at(o, t.n)
     rows = bit_rows(c)[x]
-    return AssemblyReport(Color(x), census(c), (rows[u] & rows[v]).bit_count())
+    return AssemblyReport(x, census(c), (rows[u] & rows[v]).bit_count())
 
 
 def twin_k17(x: Color, deleted_vertex: int = 0) -> AssemblyReport:
@@ -138,6 +138,7 @@ def twin_k17(x: Color, deleted_vertex: int = 0) -> AssemblyReport:
     K_15 extends to two identical triangle-free halves and the closed edge
     creates exactly five monochromatic triangles, all in color x.
     """
+    x = _color(x)
     g = construct_gf16()
     ext = extension_of_vertex(g, deleted_vertex)
     k15 = delete_vertex(g, deleted_vertex)

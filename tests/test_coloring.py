@@ -55,6 +55,17 @@ def test_edge_index_rejects_bad_pairs(i, j):
         edge_index(i, j, 17)
 
 
+def test_edge_index_refuses_floats_and_bools():
+    # each was taken as its int, or failed later as a byte index
+    for i, j, n in ((1.0, 2, 3), (True, 2, 3), (0, 1, 2.5), (0, 2.0, 3), (0, 1, True)):
+        with pytest.raises(ValueError, match=r"^invalid edge \("):
+            edge_index(i, j, n)
+    for i, j in ((1.0, 2), (2, 1.0), (True, 2)):
+        with pytest.raises(ValueError, match=r"^invalid edge \("):
+            ALL_B_K3.color(i, j)
+    assert edge_index(Color.RED, Color.YELLOW, 3) == 2  # an int subclass is an int
+
+
 def test_coloring_validation():
     with pytest.raises(ValueError):
         EdgeColoring(3, b"\x00\x00")  # wrong length
@@ -171,6 +182,7 @@ def test_ordinal_walks_keep_no_pair_tables():
             fast_mono_counts(c)
             delete_vertex(c, 0)
             extension_of_vertex(c, 0)
+            permute_vertices(c, range(c.n - 1, -1, -1))
         bit_rows.cache_clear()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -225,6 +237,9 @@ def test_permute_colors_identity_and_rotation():
                             {Color.BLUE: Color.RED, Color.RED: Color.BLUE}):
         with pytest.raises(ValueError):
             permute_colors(ALL_B_K3, not_a_bijection)
+    for image in (1.0, True, 3):  # a bijection but for one image that is not a color value
+        with pytest.raises(ValueError, match="color must be"):
+            permute_colors(ALL_B_K3, {Color.BLUE: image, Color.RED: Color.BLUE, Color.YELLOW: 2})
 
 
 def test_permute_colors_equivariance():
@@ -256,8 +271,10 @@ def test_permute_vertices_identity_involution_invariance():
         cen_a, cen_b = census(c), census(permute_vertices(c, rho))
         assert (cen_a.mono, cen_a.bichromatic, cen_a.rainbow) == (
             cen_b.mono, cen_b.bichromatic, cen_b.rainbow)
-    with pytest.raises(ValueError):
-        permute_vertices(ALL_B_K3, [0, 0, 2])
+    # a float or a bool entry sorts like its int, so the bijection test alone would pass it
+    for not_a_bijection in ([0, 0, 2], [0, 1], [0, 1, 3], [0.0, 1, 2], [True, 0, 2]):
+        with pytest.raises(ValueError, match="bijection"):
+            permute_vertices(ALL_B_K3, not_a_bijection)
 
 
 def test_delete_vertex_basics():
@@ -314,3 +331,6 @@ def test_recolored():
     for ordinal in (-1, 3, 3.0, 1.0, True):  # a float or a bool ordinal is refused too
         with pytest.raises(ValueError, match="out of range"):
             ALL_B_K3.recolored(ordinal, Color.RED)
+    for x in (2.5, 1.0, True, 3, -1):  # 2.5 was painted yellow, True red
+        with pytest.raises(ValueError, match=rf"^color must be 0 \(B\), 1 \(R\) or 2 \(Y\).*, got {x!r}$"):
+            ALL_B_K3.recolored(0, x)

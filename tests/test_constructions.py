@@ -35,6 +35,9 @@ def test_sigma_cycle():
     assert sigma(Color.BLUE) == Color.RED
     for x in Color:
         assert sigma(sigma(sigma(x))) == x
+    for x in (2.0, True, 3, -1):  # 2.0 was shifted to blue, 3 taken as 0
+        with pytest.raises(ValueError, match="color must be"):
+            sigma(x)
 
 
 def test_gf16_coloring_is_triangle_free():

@@ -93,6 +93,9 @@ def test_move_delta_triangle():
     for edge in (99, 1.0, True):  # a float or a bool ordinal is refused, not taken as its int
         with pytest.raises(ValueError, match="out of range"):
             move_delta(k3, edge, Color.RED)
+    for x in (1.0, True, 3):  # True was taken as red
+        with pytest.raises(ValueError, match="color must be"):
+            move_delta(k3, 0, x)
 
 
 def test_move_delta_matches_recount():

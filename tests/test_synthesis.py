@@ -25,6 +25,7 @@ from ramsey333 import (
     extend_with,
     extension_of_vertex,
     find_extensions,
+    permute_vertices,
     random_coloring,
     solve_template,
     twin_k17,
@@ -160,6 +161,19 @@ def test_vertex_operations_match_pairwise_definition():
                            for i, j in combinations(range(n - 1), 2))
 
 
+def test_moving_a_vertex_to_the_end_is_deleting_and_extending_it():
+    # rho_v sends v to n - 1 and the vertices above v one down; it pins the direction
+    # of permute_vertices: edge (rho[i], rho[j]) of the result is edge (i, j) of c
+    for n in range(2, 21):
+        for seed in (1, 2, 3):
+            c = random_coloring(n, 3, seed)
+            for v in range(n):
+                rho = [u - (u > v) for u in range(n)]
+                rho[v] = n - 1
+                moved = extend_with(delete_vertex(c, v), extension_of_vertex(c, v))
+                assert permute_vertices(c, rho) == moved
+
+
 def test_extensions_extend_triangle_free():
     k15 = _gf16_k15()
     for ext in find_extensions(k15):
@@ -177,6 +191,9 @@ def test_assemble_builds_one_open_edge_template():
         rep = complete_edge(t, x)
         for dropped in (15, 16):
             assert census(delete_vertex(rep.coloring, dropped)).mono == (0, 0, 0)
+    for x in (1.0, True, 3):  # 1.0 failed late as a tuple index, True was taken as red
+        with pytest.raises(ValueError, match="color must be"):
+            complete_edge(t, x)
 
 
 def test_assemble_preconditions():
@@ -275,6 +292,9 @@ def test_twin_k17_counts():
         for tri in rep.census.mono_list:
             assert tri.color == x
             assert {15, 16} <= {tri.i, tri.j, tri.k}
+    for x in (1.0, True, 3):
+        with pytest.raises(ValueError, match="color must be"):
+            twin_k17(x)
 
 
 def test_twin_k17_mono_triangles_match_spoke_class():

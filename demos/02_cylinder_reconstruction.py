@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Recovering the cylinder coloring of K_16 from its structural rules.
+"""Completing the structural rules of the cylinder coloring of K_16.
 
 The cylinder description pins only the shape of the coloring: a hub O with
 blue/red/yellow spokes into three five-vertex blocks, each block K_5 using
 two of the three colors, and the three families of cross edges locked
 together by the cyclic shift sigma.  No explicit edge list is given, so we
 encode the rules as a template and let the backtracking solver find the
-triangle-free completions.
+triangle-free completions.  The rules do not fix the class: they admit 72
+completions, 60 of the cylinder class and 12 of the GF(16) class.  The
+solver's first completion, printed below, is the cylinder coloring, and
+`construct --method cylinder` emits it.
 """
 
 from itertools import product

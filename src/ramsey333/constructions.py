@@ -15,9 +15,9 @@ edge list: a hub vertex O with blue, red, yellow spokes to the three blocks
 A1..A5, B1..B5, C1..C5; each block K_5 colored with two of the three colors;
 and cross edges tied together by the cyclic shift sigma, so the color of
 BiCj is sigma of AiBj and the color of CiAj is sigma squared of AiBj.
-`cylinder_template` records exactly those rules; `solve_template` recovers a
-concrete coloring from them by backtracking (the first solution under the
-fixed search order is the canonical one).
+`cylinder_template` records exactly those rules.  They do not fix the class:
+`solve_template` finds 72 triangle-free completions, 60 cylinder and 12
+GF(16), and its first, which `construct --method cylinder` emits, is cylinder.
 """
 
 from __future__ import annotations
@@ -62,21 +62,20 @@ def cylinder_template() -> ColoringTemplate:
     restricted to two colors (A: red/yellow, B: yellow/blue, C: blue/red),
     AiBj cross edges are unrestricted, and couplings force
     color(BiCj) = sigma(color(AiBj)) and color(CiAj) = sigma^2(color(AiBj)).
+    Ai, Bi and Ci are the vertices i, 5 + i and 10 + i (see CYLINDER_LABELS).
     """
     n = 16
-    v = CYLINDER_LABELS.index
     domains = bytearray([FULL]) * comb(n, 2)
-    for group, spoke in zip("ABC", COLORS):
-        for i in range(1, 6):
-            domains[edge_index(0, v(f"{group}{i}"), n)] = 1 << spoke
-        for i, j in combinations(range(1, 6), 2):
-            domains[edge_index(v(f"{group}{i}"), v(f"{group}{j}"), n)] = FULL ^ 1 << spoke
+    for g, spoke in zip((0, 5, 10), COLORS):
+        # the hub 0 and block g + 1..g + 5: spokes take the spoke color, block edges the other two
+        for u, v in combinations((0, *range(g + 1, g + 6)), 2):
+            domains[edge_index(u, v, n)] = FULL ^ 1 << spoke if u else 1 << spoke
 
     couplings = []
     for i, j in product(range(1, 6), repeat=2):
-        ab = edge_index(v(f"A{i}"), v(f"B{j}"), n)
-        bc = edge_index(v(f"B{i}"), v(f"C{j}"), n)
-        ca = edge_index(v(f"A{j}"), v(f"C{i}"), n)  # the pair {Ci, Aj}, stored low-high
+        ab = edge_index(i, 5 + j, n)  # Ai Bj
+        bc = edge_index(5 + i, 10 + j, n)  # Bi Cj
+        ca = edge_index(j, 10 + i, n)  # the pair {Ci, Aj}, stored low-high
         couplings.append(Coupling(src=ab, dst=bc, shift=1))
         couplings.append(Coupling(src=ab, dst=ca, shift=2))
 

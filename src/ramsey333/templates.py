@@ -91,7 +91,7 @@ def solve_template(t: ColoringTemplate, limit: int = 1) -> list[EdgeColoring]:
 
     A generator enumerates them (edges in ordinal order, colors B < R < Y, couplings
     propagated eagerly) until `limit` are taken.  An empty list means none exists.
-    Raises BudgetError mid-search at node SOLVE_BUDGET + 1 (50 cylinder solutions visit 30,201).
+    Raises BudgetError at node SOLVE_BUDGET + 1 (all 72 cylinder completions visit 43,137 nodes).
     """
     _check_int(limit, 1, sys.maxsize + 1, "limit must be an int from 1 to sys.maxsize")
     n = t.n

@@ -22,6 +22,7 @@ from ramsey333 import (
     edge_index,
     extension_of_vertex,
     parse_document,
+    permute_vertices,
     serialize_template,
     sigma,
     solve_template,
@@ -209,13 +210,56 @@ def test_cylinder_first_five_solutions_pinned():
 # The same for the first fifty, taken before the per-color degree cap: the cap
 # only prunes, so it changes neither the solutions nor their order.
 CYLINDER_FIRST_50_SHA256 = "3de96437cb7c437133af080a0551bada90d85671c301ac5a15e46c0da34967e4"
+# ... and for every completion the cylinder rules admit: there are 72.
+CYLINDER_ALL_72_SHA256 = "89145e03073ab2b7076ec83b2a32d7f232f7ac9fa3f77dd106945f0e5bee00ed"
+# The completions in the GF(16) class (0-based, in DFS order); the other 60
+# are in the class of the first, which `construct --method cylinder` emits.
+CYLINDER_GF16_CLASS = (9, 11, 21, 23, 33, 35, 45, 47, 57, 59, 69, 71)
+
+
+def _normal_images(c):
+    """The relabellings of a triangle-free K_16 into hub-and-pentagon normal form.
+
+    Hub v goes to 0 and its blue, red and yellow neighbours to 1-5, 6-10 and
+    11-15.  Each block is a two-colored K_5 with no monochromatic triangle, so
+    its lower color is a 5-cycle; the block is listed along it, from every
+    start in both directions.  That is 16 * 10**3 images, in a fixed order.
+    """
+    for v in range(16):
+        walks = []
+        for x in Color:
+            block = [u for u in range(16) if u != v and c.color(u, v) == x]
+            low = min(set(Color) - {x})
+            walks.append([])
+            for s, t in product(block, repeat=2):
+                if s != t and c.color(s, t) == low:  # two walks from each start
+                    walk = [s, t]
+                    while len(walk) < 5:
+                        walk += [u for u in block if u not in walk and c.color(walk[-1], u) == low]
+                    walks[-1].append(walk)
+        for a, b, y in product(*walks):
+            rho = [0] * 16
+            for k, u in enumerate([v, *a, *b, *y]):
+                rho[u] = k
+            yield permute_vertices(c, rho)
 
 
 def test_cylinder_first_fifty_solutions_pinned():
-    sols = solve_template(cylinder_template(), limit=50)
-    assert len(sols) == 50
-    digest = hashlib.sha256(b"".join(s.colors for s in sols)).hexdigest()
+    # every completion, enumerated once: the first fifty, all 72, and the class of each
+    sols = solve_template(cylinder_template(), limit=10**6)
+    assert len(sols) == 72
+    digest = hashlib.sha256(b"".join(s.colors for s in sols[:50])).hexdigest()
     assert digest == CYLINDER_FIRST_50_SHA256
+    assert hashlib.sha256(b"".join(s.colors for s in sols)).hexdigest() == CYLINDER_ALL_72_SHA256
+    # the class of a triangle-free K_16 is fixed by its normal images: GF(16)
+    # has 100 and the first completion 500, and no image is in both
+    gf16 = set(_normal_images(construct_gf16()))
+    cylinder = set(_normal_images(sols[0]))
+    assert (len(gf16), len(cylinder)) == (100, 500)
+    assert gf16.isdisjoint(cylinder)
+    in_gf16 = [next(_normal_images(s)) in gf16 for s in sols]
+    assert tuple(i for i, g in enumerate(in_gf16) if g) == CYLINDER_GF16_CLASS
+    assert all(next(_normal_images(s)) in cylinder for s, g in zip(sols, in_gf16) if not g)
 
 
 def _random_template(rng):
@@ -287,3 +331,9 @@ def test_solve_template_refuses_past_its_node_budget(monkeypatch):
     monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 2749)
     with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 2749$"):
         solve_template(t, limit=4)
+    # the full enumeration: all 72 completions take exactly 43137 nodes
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 43137)
+    assert len(solve_template(t, limit=10**6)) == 72
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 43136)
+    with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 43136$"):
+        solve_template(t, limit=10**6)

@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .coloring import _CHARS, _TO_CHARS, Color, _color_bytes, _mono_triangles, census, delete_vertex
+from .coloring import _CHARS, _TO_CHARS, _color_bytes, _mono_triangles, census, delete_vertex
 from .constructions import construct_gf16, cylinder_template
 from .errors import BudgetError, FormatError, NotTriangleFreeError
 from .figures import export_figure
@@ -161,7 +161,7 @@ def cmd_assemble(args) -> int:
 def cmd_complete(args) -> int:
     doc = parse_document(_read(args.file))
     template = doc.to_template()
-    report = complete_edge(template, Color.from_char(args.color))
+    report = complete_edge(template, _CHARS.index(args.color))
     meta = dict(doc.meta)
     meta["added_edge_color"] = report.added_edge_color.char
     document = serialize(report.coloring, k=3, meta=meta)
@@ -178,7 +178,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_twin_k17(args) -> int:
-    report = twin_k17(Color.from_char(args.color), deleted_vertex=args.deleted_vertex)
+    report = twin_k17(_CHARS.index(args.color), deleted_vertex=args.deleted_vertex)
     meta = {
         "method": "twin-k17",
         "color": report.added_edge_color.char,

@@ -24,7 +24,7 @@ from collections import namedtuple
 from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError
@@ -60,13 +60,6 @@ class Color(IntEnum):
     def char(self) -> str:
         return _CHARS[self.value]
 
-    @classmethod
-    def from_char(cls, ch: str) -> "Color":
-        idx = _CHARS.find(ch) if len(ch) == 1 else -1
-        if idx < 0:
-            raise ValueError(f"not a color character: {ch!r}")
-        return cls(idx)
-
     def __str__(self) -> str:
         return self.name.capitalize()
 
@@ -87,12 +80,10 @@ def _row_start(i: int, n: int) -> int:
 
 def edge_index(i: int, j: int, n: int) -> int:
     """Ordinal of edge (i, j), i < j, in lexicographic order: (0,1), (0,2), ..."""
-    # plain ints take no call (cylinder_template asks 120 times); only the others format a message
-    if not (type(i) is type(j) is type(n) is int and 0 <= i < j < n):
-        message = f"invalid edge ({i}, {j}) for n={n}"
-        _check_int(n, 2, n + 1, message)  # any int size; an int subclass passes all three
-        _check_int(i, 0, j, message)
-        _check_int(j, i + 1, n, message)
+    message = f"invalid edge ({i!r}, {j!r}) for n={n!r}"
+    _check_int(n, 2, inf, message)  # any int size; each later bound is an int checked before it
+    _check_int(j, 1, n, message)
+    _check_int(i, 0, j, message)
     return _row_start(i, n) + j
 
 
@@ -249,10 +240,6 @@ class TriangleCensus(NamedTuple):
     @property
     def total_mono(self) -> int:
         return sum(self.mono)
-
-    @property
-    def total(self) -> int:
-        return self.total_mono + self.bichromatic + self.rainbow
 
 
 def census(c: EdgeColoring) -> TriangleCensus:

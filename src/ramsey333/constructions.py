@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .coloring import COLORS, Color, EdgeColoring, _color, edge_index
+from .coloring import COLORS, Color, EdgeColoring, _color, _row_start
 from .templates import FULL, ColoringTemplate, Coupling
 
 # Vertex roles: 0 = O, 1-5 = A1..A5, 6-10 = B1..B5, 11-15 = C1..C5.
@@ -65,17 +65,18 @@ def cylinder_template() -> ColoringTemplate:
     Ai, Bi and Ci are the vertices i, 5 + i and 10 + i (see CYLINDER_LABELS).
     """
     n = 16
+    o = [_row_start(u, n) for u in range(n)]  # edge (u, v), u < v, has ordinal o[u] + v
     domains = bytearray([FULL]) * comb(n, 2)
     for g, spoke in zip((0, 5, 10), COLORS):
         # the hub 0 and block g + 1..g + 5: spokes take the spoke color, block edges the other two
         for u, v in combinations((0, *range(g + 1, g + 6)), 2):
-            domains[edge_index(u, v, n)] = FULL ^ 1 << spoke if u else 1 << spoke
+            domains[o[u] + v] = FULL ^ 1 << spoke if u else 1 << spoke
 
     couplings = []
     for i, j in product(range(1, 6), repeat=2):
-        ab = edge_index(i, 5 + j, n)  # Ai Bj
-        bc = edge_index(5 + i, 10 + j, n)  # Bi Cj
-        ca = edge_index(j, 10 + i, n)  # the pair {Ci, Aj}, stored low-high
+        ab = o[i] + 5 + j  # Ai Bj
+        bc = o[5 + i] + 10 + j  # Bi Cj
+        ca = o[j] + 10 + i  # the pair {Ci, Aj}, stored low-high
         couplings.append(Coupling(src=ab, dst=bc, shift=1))
         couplings.append(Coupling(src=ab, dst=ca, shift=2))
 

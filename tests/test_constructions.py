@@ -1,5 +1,6 @@
 """The finite-field coloring and the reconstructed cylinder coloring."""
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -91,8 +92,14 @@ def test_cylinder_labels():
         CYLINDER_LABELS.index("D1")
 
 
+# sha256 of cylinder_template()'s domains + repr(couplings): the rules are pinned as built
+CYLINDER_TEMPLATE_SHA256 = "9984ddd643f2905734efd1e32017401a31d3ca01a5483fa8e12f07ad83020a2a"
+
+
 def test_cylinder_template_domains():
     t = cylinder_template()
+    digest = hashlib.sha256(t.domains + repr(t.couplings).encode()).hexdigest()
+    assert digest == CYLINDER_TEMPLATE_SHA256
     v = CYLINDER_LABELS.index
     # bit x of a domain mask allows color x: B = 0b001, R = 0b010, Y = 0b100
     assert t.domains[edge_index(0, v("A3"), 16)] == 0b001

@@ -138,8 +138,12 @@ def test_extend_with_round_trip():
     k15 = delete_vertex(g, 15)
     restored = extend_with(k15, extension_of_vertex(g, 15))
     assert restored == g
-    with pytest.raises(ValueError):
-        extend_with(k15, bytes([Color.BLUE] * 3))
+    with pytest.raises(ValueError, match="extension length 3"):  # the length is checked first
+        extend_with(k15, bytes([Color.BLUE, 7, Color.BLUE]))
+    # a bad spoke is named by its index, not by an ordinal of the K_16 or by bytes()'s message
+    for bad in (7, -1):
+        with pytest.raises(ValueError, match=rf"^spoke 2 must be 0 \(B\), 1 \(R\) or 2 \(Y\), got {bad}$"):
+            extend_with(k15, [0, 1, bad] + [0] * 12)
 
 
 def test_vertex_operations_match_pairwise_definition():
@@ -288,7 +292,7 @@ def test_twin_k17_counts():
         expected[x] = 5
         assert rep.census.mono == tuple(expected)
         assert rep.triangles_through_new_edge == 5
-        assert rep.census.total == 680  # C(17, 3)
+        assert sum(rep.census.mono) + rep.census.bichromatic + rep.census.rainbow == comb(17, 3)
         for tri in rep.census.mono_list:
             assert tri.color == x
             assert {15, 16} <= {tri.i, tri.j, tri.k}

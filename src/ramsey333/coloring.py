@@ -25,6 +25,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
+from operator import index
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError
@@ -43,7 +44,7 @@ def _check_int(value, lo, hi, message: str, error: type[ValueError] = ValueError
 
 def _color_bytes(s: str) -> bytes:
     """The color values of a string of B/R/Y; ValueError names its first other character."""
-    data = s.encode("latin-1", "replace")  # one byte per character, '?' beyond latin-1
+    data = str.encode(s, "latin-1", "replace")  # TypeError unless a str; '?' beyond latin-1
     if bad := data.translate(None, _CHARS.encode()):
         raise ValueError(f"not a color character: {s[data.index(bad[0])]!r}")
     return data.translate(_FROM_CHARS)
@@ -117,19 +118,24 @@ def _record(name: str, fields: str, **kwargs) -> type:
     return base
 
 
-def _edge_bytes(n, data, noun: str, allowed: bytes, rule: str) -> bytes:
-    """`data` as the C(n, 2) bytes of K_n's edges, each in `allowed`; `noun` names one."""
+def _byte_items(n, data, noun: str, allowed: bytes, rule: str, m=None, at="at edge ordinal "):
+    """`data` as m (default C(n, 2)) bytes in `allowed`: the one decoder of colors, domains, spokes.
+
+    Bytes-like data takes one translate.  Any other item must be an int (else TypeError); a bool
+    or an int outside `allowed` is a ValueError naming its position (`noun` `at` k) and repr."""
     # a bool n would be written back as True; a larger n's C(n, 2) fits no memory
     _check_int(n, 1, 10**18, "vertex count must be an int (not a bool) at least 1 and below 10**18")
     if isinstance(data, int):  # bytes(3) would be three zero bytes
         raise TypeError(f"{noun}s must be a byte sequence, not an int")
+    if not isinstance(items := data, (bytes, bytearray, memoryview)):
+        items = list(data)  # 255, in no `allowed`, marks a bool or an int outside range(256)
+        data = (255 if isinstance(x, bool) or not 0 <= index(x) < 256 else x for x in items)
     data = bytes(data)  # a bytearray would be unhashable
-    m = comb(n, 2)
-    if len(data) != m:
+    if len(data) != (m := comb(n, 2) if m is None else m):
         raise ValueError(f"need {m} {noun}s for n={n}, got {len(data)}")
     if bad := data.translate(None, allowed):
-        o = data.index(bad[0])
-        raise ValueError(f"{noun} at edge ordinal {o} must be {rule}, got {bad[0]}")
+        k = data.index(bad[0])
+        raise ValueError(f"{noun} {at}{k} must be {rule}, got {items[k]!r}")
     return data
 
 
@@ -144,7 +150,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
     __slots__ = ()
 
     def __new__(cls, n, colors):
-        colors = _edge_bytes(n, colors, "edge color", b"\x00\x01\x02", "0 (B), 1 (R) or 2 (Y)")
+        colors = _byte_items(n, colors, "edge color", b"\x00\x01\x02", "0 (B), 1 (R) or 2 (Y)")
         return super().__new__(cls, n, colors)
 
     @classmethod
@@ -152,6 +158,8 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
         return cls(n, _color_bytes(s))
 
     def color(self, i: int, j: int) -> Color:
+        for v in (i, j):  # both checked before min and max compare them
+            _check_int(v, 0, self.n, f"invalid edge ({i!r}, {j!r}) for n={self.n}")
         return COLORS[self.colors[edge_index(min(i, j), max(i, j), self.n)]]
 
     def color_string(self) -> str:
@@ -286,10 +294,7 @@ def permute_colors(c: EdgeColoring, pi: Mapping[Color, Color]) -> EdgeColoring:
     """Replace every edge color x by pi[x]; pi must be a bijection on the colors."""
     if any(x not in pi for x in COLORS) or {_color(pi[x]) for x in COLORS} != set(COLORS):
         raise ValueError("color permutation must be a bijection on {B, R, Y}")
-    table = bytearray(range(256))
-    for x in COLORS:
-        table[x] = pi[x]
-    return EdgeColoring(c.n, c.colors.translate(bytes(table)))
+    return EdgeColoring(c.n, c.colors.translate(bytes(pi[x] for x in COLORS) + bytes(253)))
 
 
 def permute_vertices(c: EdgeColoring, rho: Sequence[int]) -> EdgeColoring:

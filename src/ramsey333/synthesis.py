@@ -19,6 +19,7 @@ from .coloring import (
     Color,
     EdgeColoring,
     TriangleCensus,
+    _byte_items,
     _check_int,
     _color,
     _edge_at,
@@ -80,13 +81,7 @@ def extend_with(c: EdgeColoring, e: bytes) -> EdgeColoring:
     """K_{n+1} with the new vertex appended as index n; e[i] colors its spoke to i."""
     if len(e) != c.n:
         raise ValueError(f"extension length {len(e)} does not match n={c.n}")
-    try:
-        spokes = bytes(e)
-    except ValueError:  # an int outside range(256); any int but 0, 1 and 2 is named below
-        spokes = bytes(x if 0 <= x < 3 else 3 for x in e)
-    if bad := spokes.translate(None, b"\x00\x01\x02"):
-        k = spokes.index(bad[0])
-        raise ValueError(f"spoke {k} must be 0 (B), 1 (R) or 2 (Y), got {e[k]!r}")
+    spokes = _byte_items(c.n, e, "spoke", b"\x00\x01\x02", "0 (B), 1 (R) or 2 (Y)", c.n, "")
     n, cols = c.n, c.colors
     out = bytearray()
     o = 0  # ordinal of (i, i + 1) in K_n

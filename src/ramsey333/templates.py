@@ -23,7 +23,7 @@ import sys
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple
 
-from .coloring import Color, EdgeColoring, _check_int, _edge_at, _edge_bytes, _record, toggle
+from .coloring import Color, EdgeColoring, _byte_items, _check_int, _edge_at, _record, toggle
 from .errors import BudgetError
 
 FULL = 0b111  # the domain mask that allows every color
@@ -44,7 +44,7 @@ class ColoringTemplate(_record("ColoringTemplate", "n domains couplings")):
     __slots__ = ()
 
     def __new__(cls, n, domains, couplings=()):
-        domains = _edge_bytes(n, domains, "domain", bytes(range(1, 8)), "a color mask 1-7")
+        domains = _byte_items(n, domains, "domain", bytes(range(1, 8)), "a color mask 1-7")
         couplings = tuple(cp if type(cp) is Coupling else Coupling(*cp) for cp in couplings)
         for cp in couplings:  # messages name no coupling: a template may carry many
             _check_int(cp.src, 0, len(domains), "coupling ordinals must be ints below C(n, 2)")

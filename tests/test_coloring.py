@@ -11,6 +11,7 @@ import pytest
 from ramsey333 import (
     BudgetError,
     Color,
+    ColoringTemplate,
     EdgeColoring,
     MonoTriangle,
     census,
@@ -18,6 +19,7 @@ from ramsey333 import (
     construct_gf16,
     delete_vertex,
     edge_index,
+    extend_with,
     extension_of_vertex,
     fast_mono_counts,
     permute_colors,
@@ -63,8 +65,8 @@ def test_edge_index_refuses_floats_and_bools():
             edge_index(i, j, n)
     with pytest.raises(ValueError, match=r"^invalid edge \(0, '1'\) for n=3$"):
         edge_index(0, "1", 3)  # by repr, so the str does not read like a valid 1
-    for i, j in ((1.0, 2), (2, 1.0), (True, 2)):
-        with pytest.raises(ValueError, match=r"^invalid edge \("):
+    for i, j in ((1.0, 2), (2, 1.0), (True, 2), ("1", 2), (0, None), (None, 0)):
+        with pytest.raises(ValueError, match=r"^invalid edge \("):  # before min/max compare them
             ALL_B_K3.color(i, j)
     assert edge_index(Color.RED, Color.YELLOW, 3) == 2  # an int subclass is an int
 
@@ -91,6 +93,44 @@ def test_coloring_stores_bytes_from_any_byte_sequence():
         assert fast_mono_counts(c) == (0, 0, 0)
     with pytest.raises(TypeError):
         EdgeColoring(3, 3)
+
+
+# Colors, domains and spokes are one byte per item, read by one decoder under one rule.
+# Each entry: the record built from three items, the name of item 2, the first value above
+# the allowed ones.
+ITEM_SEQUENCES = {
+    "colors": (lambda items: EdgeColoring(3, items), "edge color at edge ordinal 2", 3),
+    "domains": (lambda items: ColoringTemplate(3, items), "domain at edge ordinal 2", 8),
+    "spokes": (lambda items: extend_with(RAINBOW_K3, items), "spoke 2", 3),
+}
+
+
+@pytest.mark.parametrize("kind, item", [
+    (kind, item) for kind, (_, _, above) in ITEM_SEQUENCES.items()
+    for item in (True, -1, above, 256, 300, 1.0, "B", None)
+])
+def test_one_rule_for_color_domain_and_spoke_items(kind, item):
+    build, name, _ = ITEM_SEQUENCES[kind]
+    if isinstance(item, int):  # a bool too: each is named by its position and repr
+        with pytest.raises(ValueError, match=rf"^{name} must be .+, got {re.escape(repr(item))}$"):
+            build([1, 2, item])
+    else:
+        with pytest.raises(TypeError):
+            build([1, 2, item])
+
+
+@pytest.mark.parametrize("kind", sorted(ITEM_SEQUENCES))
+def test_item_sequences_decode_alike_from_any_container(kind):
+    build = ITEM_SEQUENCES[kind][0]
+    ref = build(b"\x01\x02\x01")
+    for items in ([1, 2, 1], (1, 2, 1), bytearray(b"\x01\x02\x01"), [Color.RED, Color.YELLOW, 1]):
+        assert build(items) == ref
+
+
+def test_from_string_refuses_a_non_str():
+    for s in (None, 123, b"BRY"):  # each raised AttributeError from str.encode's lookup
+        with pytest.raises(TypeError, match=type(s).__name__):
+            EdgeColoring.from_string(3, s)
 
 
 def test_color_order_and_chars():

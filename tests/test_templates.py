@@ -74,7 +74,7 @@ def test_caller_mutation_does_not_reach_the_template():
     ([B, R, 0b1000], "ordinal 2 must be a color mask 1-7, got 8"),
     (b"\xff\x00\x01", "ordinal 0 must be a color mask 1-7, got 255"),
     ([B, R], "need 3 domains"),
-    ([B, R, 256], "range"),
+    ([B, R, 256], "ordinal 2 must be a color mask 1-7, got 256"),
 ])
 def test_bad_domains_raise_value_error(domains, message):
     with pytest.raises(ValueError, match=message):

@@ -36,10 +36,10 @@ _TO_CHARS = bytes.maketrans(bytes(range(3)), _CHARS.encode())
 _FROM_CHARS = bytes.maketrans(_CHARS.encode(), bytes(range(3)))
 
 
-def _check_int(value, lo, hi, message: str, error: type[ValueError] = ValueError) -> None:
-    """The one integer rule: error(message) unless value is an int, not a bool, in [lo, hi)."""
+def _check_int(value, lo, hi, message: str, *args, error: type[ValueError] = ValueError) -> None:
+    """The one integer rule: int, not bool, in [lo, hi); else error(message.format(*args))."""
     if not isinstance(value, int) or isinstance(value, bool) or not lo <= value < hi:
-        raise error(message)
+        raise error(message.format(*args))
 
 
 def _color_bytes(s: str) -> bytes:
@@ -70,7 +70,7 @@ COLORS = (Color.BLUE, Color.RED, Color.YELLOW)
 
 def _color(x) -> Color:
     """x as a Color; ValueError unless it is an int, not a bool, in [0, 3)."""
-    _check_int(x, 0, 3, f"color must be 0 (B), 1 (R) or 2 (Y) (an int, not a bool), got {x!r}")
+    _check_int(x, 0, 3, "color must be 0 (B), 1 (R) or 2 (Y) (an int, not a bool), got {!r}", x)
     return COLORS[x]
 
 
@@ -81,10 +81,10 @@ def _row_start(i: int, n: int) -> int:
 
 def edge_index(i: int, j: int, n: int) -> int:
     """Ordinal of edge (i, j), i < j, in lexicographic order: (0,1), (0,2), ..."""
-    message = f"invalid edge ({i!r}, {j!r}) for n={n!r}"
-    _check_int(n, 2, inf, message)  # any int size; each later bound is an int checked before it
-    _check_int(j, 1, n, message)
-    _check_int(i, 0, j, message)
+    message = "invalid edge ({!r}, {!r}) for n={!r}"
+    _check_int(n, 2, inf, message, i, j, n)  # any int size; each later bound is checked before it
+    _check_int(j, 1, n, message, i, j, n)
+    _check_int(i, 0, j, message, i, j, n)
     return _row_start(i, n) + j
 
 
@@ -159,7 +159,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
 
     def color(self, i: int, j: int) -> Color:
         for v in (i, j):  # both checked before min and max compare them
-            _check_int(v, 0, self.n, f"invalid edge ({i!r}, {j!r}) for n={self.n}")
+            _check_int(v, 0, self.n, "invalid edge ({!r}, {!r}) for n={}", i, j, self.n)
         return COLORS[self.colors[edge_index(min(i, j), max(i, j), self.n)]]
 
     def color_string(self) -> str:
@@ -168,7 +168,7 @@ class EdgeColoring(_record("EdgeColoring", "n colors")):
     def recolored(self, ordinal: int, x: Color) -> "EdgeColoring":
         """Copy with one edge changed."""
         m = len(self.colors)
-        _check_int(ordinal, 0, m, f"edge ordinal {ordinal} out of range (an int, not a bool)")
+        _check_int(ordinal, 0, m, "edge ordinal {} out of range (an int, not a bool)", ordinal)
         buf = bytearray(self.colors)
         buf[ordinal] = _color(x)
         return EdgeColoring(self.n, bytes(buf))
@@ -180,13 +180,18 @@ def toggle(rows: list[list[int]], i: int, j: int, x: int) -> None:
     rows[x][j] ^= 1 << i
 
 
-@lru_cache(maxsize=4)  # re-reads come within one call chain; a bound keeps memory flat
-def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
-    """Per-color adjacency rows: bit j of rows[x][i] is set iff edge (i,j) has color x."""
+def _rows(c: EdgeColoring) -> list[list[int]]:
+    """The one row builder, uncached and mutable: bit j of rows[x][i] set iff (i, j) has color x."""
     rows = [[0] * c.n for _ in range(3)]
     for (i, j), x in zip(combinations(range(c.n), 2), c.colors):
         toggle(rows, i, j, x)
-    return tuple(tuple(r) for r in rows)
+    return rows
+
+
+@lru_cache(maxsize=4)  # re-reads come within one call chain; a bound keeps memory flat
+def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
+    """_rows(c) as tuples, cached: bit j of rows[x][i] is set iff edge (i,j) has color x."""
+    return tuple(tuple(r) for r in _rows(c))
 
 
 def _spoke_dfs(rows, n: int, colors, bound: int, leaf) -> None:
@@ -309,7 +314,7 @@ def permute_vertices(c: EdgeColoring, rho: Sequence[int]) -> EdgeColoring:
 
 def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
     """Coloring of K_{n-1} on the remaining vertices; indices above v shift down."""
-    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
+    _check_int(v, 0, c.n, "vertex {} out of range for n={} (an int, not a bool)", v, c.n)
     if c.n < 2:
         raise ValueError("cannot delete a vertex from K_1")
     return EdgeColoring(c.n - 1, _gather(c, combinations([u for u in range(c.n) if u != v], 2)))
@@ -317,6 +322,6 @@ def delete_vertex(c: EdgeColoring, v: int) -> EdgeColoring:
 
 def color_degree_profile(c: EdgeColoring, v: int) -> tuple[int, int, int]:
     """Number of edges of each color at vertex v; sums to n - 1."""
-    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
+    _check_int(v, 0, c.n, "vertex {} out of range for n={} (an int, not a bool)", v, c.n)
     rows = bit_rows(c)
     return tuple(rows[x][v].bit_count() for x in range(3))

@@ -22,7 +22,8 @@ from math import comb, inf
 from typing import NamedTuple
 
 from .coloring import (
-    Color, EdgeColoring, _check_int, _color, _edge_at, _record, _spoke_dfs, bit_rows, toggle
+    Color, EdgeColoring, _check_int, _color, _edge_at, _record, _row_start, _rows, _spoke_dfs,
+    bit_rows, toggle
 )
 from .errors import BudgetError
 
@@ -90,7 +91,7 @@ def move_delta(c: EdgeColoring, edge: int, x: Color) -> int:
     x-neighbors of the endpoints, the triangles lost are the common
     current-color neighbors.
     """
-    _check_int(edge, 0, len(c.colors), f"edge ordinal {edge} out of range (an int, not a bool)")
+    _check_int(edge, 0, len(c.colors), "edge ordinal {} out of range (an int, not a bool)", edge)
     cur = c.colors[edge]
     x = _color(x)
     if x == cur:
@@ -124,12 +125,8 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     if num_edges == 0:
         return 0, start, 0
     cur = bytearray(start.colors)
-    # Not copied from bit_rows(start): that raised the search panel's peak RSS by ~0.2 MB.
-    rows = [[0] * n for _ in range(3)]
-    ordinal = [[0] * n for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        toggle(rows, u, v, cur[e])
-        ordinal[u][v] = ordinal[v][u] = e
+    rows = _rows(start)  # uncached: copying bit_rows(start) raised the panel's peak RSS ~0.2 MB
+    base = [_row_start(i, n) for i in range(n)]
     span = 3 * num_edges  # keys are ((delta + n) * ranks + rank) * span + 3 * edge + color
     ranks = steps_cap + 1  # above every rank
     last_touched = [-1] * num_edges
@@ -178,7 +175,8 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
             while mask:
                 low = mask & -mask
                 mask ^= low
-                price(ordinal[p][low.bit_length() - 1])
+                w = low.bit_length() - 1
+                price(base[p] + w if p < w else base[w] + p)
 
     return best_count, EdgeColoring(n, best), (step + 1) * num_edges * (k - 1)
 

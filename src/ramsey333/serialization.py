@@ -44,9 +44,9 @@ class ColoringDocument(_record("ColoringDocument", "n k colors meta")):
     __slots__ = ()
 
     def __new__(cls, n, k, colors, meta=None):
-        _check_int(k, 2, 4, "k must be 2 or 3 (an int, not a bool)", FormatError)
+        _check_int(k, 2, 4, "k must be 2 or 3 (an int, not a bool)", error=FormatError)
         _check_int(n, 1, 10**18, "n must be a positive int (not a bool), with at most 18 digits",
-                   FormatError)  # what the reader gives back
+                   error=FormatError)  # what the reader gives back
         if not isinstance(colors, str):  # the writer would print a list's repr
             raise FormatError(f"colors must be a string, not {type(colors).__name__}")
         expected = comb(n, 2)

@@ -49,7 +49,7 @@ class AssemblyReport(NamedTuple):
 
 def extension_of_vertex(c: EdgeColoring, v: int) -> bytes:
     """The spoke colors vertex v already has in c, indexed like delete_vertex(c, v)."""
-    _check_int(v, 0, c.n, f"vertex {v} out of range for n={c.n} (an int, not a bool)")
+    _check_int(v, 0, c.n, "vertex {} out of range for n={} (an int, not a bool)", v, c.n)
     return _gather(c, ((u, v) for u in range(c.n) if u != v))
 
 

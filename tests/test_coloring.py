@@ -14,6 +14,7 @@ from ramsey333 import (
     ColoringTemplate,
     EdgeColoring,
     MonoTriangle,
+    SearchParams,
     census,
     color_degree_profile,
     construct_gf16,
@@ -22,11 +23,13 @@ from ramsey333 import (
     extend_with,
     extension_of_vertex,
     fast_mono_counts,
+    minimize,
+    move_delta,
     permute_colors,
     permute_vertices,
     random_coloring,
 )
-from ramsey333.coloring import _edge_at, bit_rows
+from ramsey333.coloring import _color, _edge_at, _rows, bit_rows, toggle
 
 ALL_B_K3 = EdgeColoring.from_string(3, "BBB")
 RAINBOW_K3 = EdgeColoring.from_string(3, "BRY")
@@ -69,6 +72,26 @@ def test_edge_index_refuses_floats_and_bools():
         with pytest.raises(ValueError, match=r"^invalid edge \("):  # before min/max compare them
             ALL_B_K3.color(i, j)
     assert edge_index(Color.RED, Color.YELLOW, 3) == 2  # an int subclass is an int
+
+
+class _UnprintableInt(int):
+    def __repr__(self):
+        raise AssertionError("a valid call formatted a refusal message")
+
+
+def test_valid_calls_format_no_refusal_message():
+    # every check passes these ints, so no call may build its message (repr or str)
+    one, two, five = (_UnprintableInt(v) for v in (1, 2, 5))
+    c = random_coloring(5, 3, 1)
+    assert _color(two) is Color.YELLOW
+    assert edge_index(one, two, five) == edge_index(1, 2, 5)
+    assert c.color(two, one) == c.color(1, 2)
+    assert c.recolored(one, two).colors[1] == 2
+    assert delete_vertex(c, two) == delete_vertex(c, 2)
+    assert color_degree_profile(c, two) == color_degree_profile(c, 2)
+    x = _UnprintableInt((c.colors[1] + 1) % 3)
+    assert move_delta(c, one, x) == move_delta(c, 1, int(x))
+    assert extension_of_vertex(c, two) == extension_of_vertex(c, 2)
 
 
 def test_coloring_validation():
@@ -211,6 +234,30 @@ def test_bit_rows_cache_keeps_rows_of_a_bounded_number_of_colorings():
         fast_mono_counts(random_coloring(200, 3, seed))
         census(random_coloring(40, 3, seed)).mono_list
     assert bit_rows.cache_info().currsize <= 4
+
+
+def test_rows_builds_fresh_lists_that_leave_the_cache_alone():
+    c = random_coloring(12, 3, 5)
+    rows = _rows(c)
+    cached = bit_rows(c)
+    assert rows == [list(r) for r in cached]
+    again = _rows(c)
+    assert again == rows and again is not rows
+    assert all(a is not b for a, b in zip(again, rows))
+    toggle(rows, 0, 1, (c.colors[0] + 1) % 3)
+    assert rows != again
+    assert bit_rows(c) is cached
+    assert bit_rows(c) == tuple(tuple(r) for r in _rows(c))
+
+
+def test_minimize_leaves_a_cached_start_as_built():
+    # the climber toggles its own uncached rows of each start, never the cache's
+    p = SearchParams(n=12, k=3, seed=9, restarts=2, steps_per_restart=50)
+    start = random_coloring(p.n, p.k, random.Random(p.seed).getrandbits(64))
+    cached = bit_rows(start)
+    minimize(p)
+    assert bit_rows(start) is cached
+    assert cached == tuple(tuple(r) for r in _rows(start))
 
 
 def test_ordinal_walks_keep_no_pair_tables():

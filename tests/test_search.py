@@ -205,6 +205,8 @@ def test_climb_follows_the_plain_rule():
                     cases.append((random_coloring(n, k, rng.getrandbits(64)), k, cap, sideways))
     for n, seed, cap, sideways in _DESCENT_TIE_STARTS:
         cases.append((random_coloring(n, 3, seed), 3, cap, sideways))
+    # the top of EDGE_BUDGET: repricing reads ordinals up to C(256, 2) - 1 from the row starts
+    cases.append((random_coloring(256, 3, 1), 3, 2, 0))
     for start, k, cap, sideways in cases:
         got = search._climb(start, k, cap, sideways)
         assert got == _plain_climb(start, k, cap, sideways), (start.n, k, cap, sideways)

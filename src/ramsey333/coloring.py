@@ -10,9 +10,9 @@ it walks all C(n, 3) vertex triples and classifies each as monochromatic,
 bichromatic, or rainbow.  It keeps the coloring, not its triangles, so its
 memory is O(C(n, 2)); CENSUS_BUDGET bounds its time (n <= 294).
 `fast_mono_counts` is the bit-parallel path: `bit_rows`, the package's one cache
-of computed data (last four colorings; the CLI also builds its parser once), packs each
-color's adjacencies into Python ints (no vertex cap), and the triangles through an
-edge (i, j) are the set bits of row_i AND row_j.
+of computed data (last four colorings), packs each color's adjacencies into Python
+ints (no vertex cap), and the triangles through an edge (i, j) are the set bits of
+row_i AND row_j.
 
 Colorings are named tuples, immutable, hashable and re-checked on `_replace`; functions are pure.
 Every text form (documents, spoke lines, triangle lists) spells colors by the B/R/Y tables here.

@@ -17,7 +17,7 @@ a fresh 64-bit subseed from the master stream just before it climbs.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb, inf
 from typing import NamedTuple
 
@@ -107,21 +107,20 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     """Steepest-descent hill climb with plateau walking, from one coloring.
 
     Returns (best count, best coloring, candidate evaluations); every pass,
-    the stopping one included, scans all E*(k-1) moves.  The state is the
-    per-color bit rows, so a move's delta is two row intersections.  Each edge
-    keeps its best move, the lowest color winning a tie, as one int key
-    ordered by (delta, rank, edge ordinal, color), where rank is last touched
-    + 1 on an edge whose best delta is 0 and 0 elsewhere.  So min(keys) is the
-    steepest decrease with ties broken by lowest edge ordinal then color, and
-    on a plateau it recolors the least recently touched zero-delta edge: a
-    plateau walk that broke ties by ordinal would bounce between two states
-    forever.  Recoloring (a, b) from c0 to x changes common-neighbor counts
-    only for edges (a, w) with w a c0- or x-neighbor of b, and symmetrically
-    for (b, w), so only those edges and (a, b) itself are repriced.
+    the stopping one included, scans all E*(k-1) moves.  The state is a color
+    per edge ordinal beside the per-color bit rows, so a move's delta is two
+    row intersections.  Each edge keeps its best move, the lowest color winning
+    a tie, as one int key ordered by (delta, rank, edge ordinal, color), where
+    rank is last touched + 1 on an edge whose best delta is 0 and 0 elsewhere.
+    So min(keys) is the steepest decrease with ties broken by lowest edge
+    ordinal then color, and on a plateau it recolors the least recently
+    touched zero-delta edge: a plateau walk that broke ties by ordinal would
+    bounce between two states forever.  Recoloring (a, b) from c0 to x
+    changes common-neighbor counts only for edges (a, w) with w a c0- or
+    x-neighbor of b, and symmetrically for (b, w): only those and (a, b) are
+    repriced.
     """
-    n = start.n
-    edges = tuple(combinations(range(n), 2))
-    num_edges = len(edges)
+    n, num_edges = start.n, len(start.colors)
     if num_edges == 0:
         return 0, start, 0
     cur = bytearray(start.colors)
@@ -132,8 +131,8 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
     last_touched = [-1] * num_edges
     keys = [0] * num_edges
 
-    def price(e):
-        u, v = edges[e]
+    def price(u, v):
+        e = base[u] + v
         c = cur[e]
         held = (rows[c][u] & rows[c][v]).bit_count()
         best = n  # above any delta
@@ -146,7 +145,7 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
         keys[e] = ((best + n) * ranks + rank) * span + 3 * e + x
         return held
 
-    total = sum(map(price, range(num_edges))) // 3  # each triangle holds on its three edges
+    total = sum(starmap(price, combinations(range(n), 2))) // 3  # 3 edges hold each triangle
     best_count, best = total, bytes(cur)
     sideways_used = 0
 
@@ -160,7 +159,7 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
                 break
             sideways_used += 1
         e, x = divmod(key % span, 3)
-        a, b = edges[e]
+        a, b = _edge_at(e, n)
         c0 = cur[e]
         toggle(rows, a, b, c0)
         toggle(rows, a, b, x)
@@ -169,14 +168,14 @@ def _climb(start: EdgeColoring, k: int, steps_cap: int, sideways_limit: int):
         total += d
         if total < best_count:
             best_count, best = total, bytes(cur)
-        price(e)
+        price(a, b)
         for p, q in ((a, b), (b, a)):
             mask = (rows[c0][q] | rows[x][q]) & ~(1 << p)
             while mask:
                 low = mask & -mask
                 mask ^= low
                 w = low.bit_length() - 1
-                price(base[p] + w if p < w else base[w] + p)
+                price(p, w) if p < w else price(w, p)
 
     return best_count, EdgeColoring(n, best), (step + 1) * num_edges * (k - 1)
 
@@ -221,20 +220,22 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
         raise BudgetError(f"{k}^C(n,2) colorings exceed the budget of {STATE_BUDGET}")
 
     rows = [[0] * n for _ in range(3)]
-    best_count = comb(n, 3) + 1  # above any possible count
-    best_rows = rows
+    cols = bytearray(m)  # the colors of the edges in rows, by ordinal
+    base = [_row_start(i, n) for i in range(n)]
+    best_count, best = comb(n, 3) + 1, b""  # a count above any possible, no witness yet
     closed = 0  # triangles closed by the edges in rows
 
     def leaf(spokes: bytearray, count: int) -> int:
-        nonlocal best_count, best_rows, closed
+        nonlocal best_count, best, closed
         v = len(spokes)  # the joining vertex: spokes[u] colors edge (u, v)
         closed += count
         for u, x in enumerate(spokes):
             toggle(rows, u, v, x)
+            cols[base[u] + v] = x
         if v + 1 < n:  # vertex 1's spoke is pinned blue
             _spoke_dfs(rows, v + 1, range(k if v else 1), best_count - closed, leaf)
         else:
-            best_count, best_rows = closed, [r.copy() for r in rows]
+            best_count, best = closed, bytes(cols)
         for u, x in enumerate(spokes):
             toggle(rows, u, v, x)
         closed -= count
@@ -242,5 +243,4 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
 
     leaf(bytearray(), 0)  # vertex 0 joins with no spokes
     del leaf  # the closure refers to itself; breaking the cycle frees it without the collector
-    return best_count, EdgeColoring(n, bytes(next(x for x in range(3) if best_rows[x][i] >> j & 1)
-                                             for i, j in combinations(range(n), 2)))
+    return best_count, EdgeColoring(n, best)

@@ -68,9 +68,11 @@ def test_edge_index_refuses_floats_and_bools():
             edge_index(i, j, n)
     with pytest.raises(ValueError, match=r"^invalid edge \(0, '1'\) for n=3$"):
         edge_index(0, "1", 3)  # by repr, so the str does not read like a valid 1
-    for i, j in ((1.0, 2), (2, 1.0), (True, 2), ("1", 2), (0, None), (None, 0)):
+    for i, j in ((1.0, 2), (2, 1.0), (True, 2), ("1", 2), (0, None), (None, 0), (1, 1), (0, 0)):
         with pytest.raises(ValueError, match=r"^invalid edge \("):  # before min/max compare them
             ALL_B_K3.color(i, j)
+    with pytest.raises(ValueError, match=r"^invalid edge \(1, 1\) for n=3$"):
+        ALL_B_K3.color(1, 1)  # a loop is no edge
     assert edge_index(Color.RED, Color.YELLOW, 3) == 2  # an int subclass is an int
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from math import comb
 from types import SimpleNamespace
 
@@ -212,6 +213,19 @@ def test_climb_follows_the_plain_rule():
         assert got == _plain_climb(start, k, cap, sideways), (start.n, k, cap, sideways)
 
 
+def test_climb_keeps_no_table_of_pairs():
+    # a climb at the top of EDGE_BUDGET peaks at 53 traced bytes per edge; a
+    # per-call tuple of every pair adds about 60 more
+    start = random_coloring(256, 3, 1)
+    tracemalloc.start()
+    try:
+        search._climb(start, 3, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * comb(256, 2)
+
+
 def test_minimize_draws_each_subseed_as_its_restart_starts(monkeypatch):
     # no list of p.restarts subseeds up front: stopped at its first climb,
     # minimize has taken one draw from the master stream
@@ -341,6 +355,8 @@ def test_exhaustive_min_witness_matches_count():
 
 @pytest.mark.parametrize("n, k, minimum, witness", [
     (1, 2, 0, ""),
+    (1, 3, 0, ""),
+    (2, 2, 0, "B"),
     (2, 3, 0, "B"),
     (3, 2, 0, "BBR"),
     (3, 3, 0, "BBR"),

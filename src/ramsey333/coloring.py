@@ -194,32 +194,35 @@ def bit_rows(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in _rows(c))
 
 
-def _spoke_dfs(rows, n: int, colors, bound: int, leaf) -> None:
-    """Each spoke coloring from a new vertex to host vertices 0..n-1 closing < `bound` triangles.
+def _spoke_dfs(rows, v: int, colors, count: int, bound: int, leaf) -> None:
+    """Each spoke coloring from vertex v to vertices 0..v-1 closing < `bound` triangles in all.
 
-    Depth-first over host vertices in index order, colors in the given order.  Spoke u
-    colored x closes (chosen[x] & rows[x][u]).bit_count() triangles with the host's bit
-    rows; a branch is cut once its running count reaches the bound.  Each vector goes to
-    leaf(spokes, count), valid only during the call, which returns the bound from then on.
+    Depth-first over u in index order, colors in the given order, from the `count` already
+    closed.  Spoke u colored x closes (row[u] & row[v]).bit_count() triangles, row = rows[x],
+    and sits in the mutable bit rows while its subtree runs; a branch is cut once its count
+    reaches the bound.  Each vector goes to leaf(spokes, count) with every spoke in rows, both
+    valid only during the call, which returns the bound from then on.  Rows end as given.
     """
-    spokes = bytearray(n)
-    chosen = [0, 0, 0]  # per color, bitmask of host vertices already given that spoke
+    spokes = bytearray(v)
 
     def dfs(u: int, count: int) -> None:
         nonlocal bound
-        if u == n:
+        if u == v:
             bound = leaf(spokes, count)
             return
-        bit = 1 << u
         for x in colors:
-            closed = count + (chosen[x] & rows[x][u]).bit_count()
+            row = rows[x]
+            closed = count + (row[u] & row[v]).bit_count()
             if closed < bound:
                 spokes[u] = x
-                chosen[x] |= bit
+                # inline, not toggle(): a call per node ran 2x slower (2-vCPU Xeon, Python 3.11)
+                row[u] ^= 1 << v
+                row[v] ^= 1 << u
                 dfs(u + 1, closed)
-                chosen[x] ^= bit
+                row[u] ^= 1 << v
+                row[v] ^= 1 << u
 
-    dfs(0, 0)
+    dfs(0, count)
     del dfs  # the closure refers to itself; breaking the cycle frees it without the collector
 
 

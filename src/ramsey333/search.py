@@ -209,8 +209,8 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     """Exact minimum total monochromatic count over all k-colorings of K_n, and its first witness.
 
     Vertices join in turn by coloring._spoke_dfs, colors B < R < Y, bounded by the best
-    count less the count closed; vertex 1's spoke is pinned blue, as permuting colors keeps
-    every count.  Refuses k^C(n,2) raw states over STATE_BUDGET (2^25: k=2 to n=7, k=3 to n=6).
+    count; vertex 1's spoke is pinned blue, as permuting colors keeps every count.
+    Refuses k^C(n,2) raw states over STATE_BUDGET (2^25: k=2 to n=7, k=3 to n=6).
     """
     _check_size(n, k)
     # k^m >= 2^m, so m >= STATE_BUDGET.bit_length() already exceeds the budget
@@ -223,23 +223,17 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     cols = bytearray(m)  # the colors of the edges in rows, by ordinal
     base = [_row_start(i, n) for i in range(n)]
     best_count, best = comb(n, 3) + 1, b""  # a count above any possible, no witness yet
-    closed = 0  # triangles closed by the edges in rows
 
     def leaf(spokes: bytearray, count: int) -> int:
-        nonlocal best_count, best, closed
+        nonlocal best_count, best
         v = len(spokes)  # the joining vertex: spokes[u] colors edge (u, v)
-        closed += count
         for u, x in enumerate(spokes):
-            toggle(rows, u, v, x)
             cols[base[u] + v] = x
         if v + 1 < n:  # vertex 1's spoke is pinned blue
-            _spoke_dfs(rows, v + 1, range(k if v else 1), best_count - closed, leaf)
+            _spoke_dfs(rows, v + 1, range(k if v else 1), count, best_count, leaf)
         else:
-            best_count, best = closed, bytes(cols)
-        for u, x in enumerate(spokes):
-            toggle(rows, u, v, x)
-        closed -= count
-        return best_count - closed
+            best_count, best = count, bytes(cols)
+        return best_count
 
     leaf(bytearray(), 0)  # vertex 0 joins with no spokes
     del leaf  # the closure refers to itself; breaking the cycle frees it without the collector

@@ -73,7 +73,7 @@ def find_extensions(c: EdgeColoring) -> list[bytes]:
         out.append(bytes(spokes))
         return 1
 
-    _spoke_dfs(bit_rows(c), c.n, (0, 1, 2), 1, leaf)
+    _spoke_dfs([[*r, 0] for r in bit_rows(c)], c.n, (0, 1, 2), 0, 1, leaf)
     return out
 
 

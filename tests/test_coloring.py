@@ -3,7 +3,7 @@
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -29,7 +29,7 @@ from ramsey333 import (
     permute_vertices,
     random_coloring,
 )
-from ramsey333.coloring import _color, _edge_at, _rows, bit_rows, toggle
+from ramsey333.coloring import _color, _edge_at, _rows, _spoke_dfs, bit_rows, toggle
 
 ALL_B_K3 = EdgeColoring.from_string(3, "BBB")
 RAINBOW_K3 = EdgeColoring.from_string(3, "BRY")
@@ -260,6 +260,32 @@ def test_minimize_leaves_a_cached_start_as_built():
     minimize(p)
     assert bit_rows(start) is cached
     assert cached == tuple(tuple(r) for r in _rows(start))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spoke_kernel_keeps_spokes_in_the_rows_and_carries_the_count(seed):
+    # vertex 6 joins a K_6 already 7 triangles in: each leaf sees every spoke in the
+    # rows and the count closed so far, and the rows end as given
+    host = random_coloring(6, 3, seed)
+    before, start = census(host).total_mono, 7
+    rows = [[*r, 0] for r in bit_rows(host)]
+    given = [r.copy() for r in rows]
+    listed = []
+
+    def leaf(spokes, count):
+        masks = [sum(1 << u for u, x in enumerate(spokes) if x == y) for y in range(3)]
+        assert [r[6] for r in rows] == masks
+        extended = extend_with(host, bytes(spokes))
+        assert rows == _rows(extended)
+        assert count == start + census(extended).total_mono - before
+        listed.append(bytes(spokes))
+        return start + 3
+
+    _spoke_dfs(rows, 6, (0, 1, 2), start, start + 3, leaf)
+    brute = [bytes(s) for s in product(range(3), repeat=6)
+             if census(extend_with(host, bytes(s))).total_mono - before < 3]
+    assert listed and listed == brute
+    assert rows == given
 
 
 def test_ordinal_walks_keep_no_pair_tables():

@@ -25,11 +25,13 @@ from ramsey333 import (
     extend_with,
     extension_of_vertex,
     find_extensions,
+    permute_colors,
     permute_vertices,
     random_coloring,
     solve_template,
     twin_k17,
 )
+from ramsey333.coloring import _spoke_dfs, bit_rows
 from ramsey333.errors import BudgetError
 from ramsey333.templates import FULL
 
@@ -131,6 +133,41 @@ def test_k16_hosts_have_no_extension():
     for host in (construct_gf16(), solve_template(cylinder_template(), limit=1)[0]):
         assert host.n == 16
         assert find_extensions(host) == []
+
+
+def _spoke_vectors(host, bound):
+    """Every spoke vector from a new vertex to host closing fewer than `bound` triangles."""
+    out = []
+
+    def leaf(spokes, count):
+        out.append(bytes(spokes))
+        return bound
+
+    _spoke_dfs([[*r, 0] for r in bit_rows(host)], host.n, (0, 1, 2), 0, bound, leaf)
+    return out
+
+
+@pytest.mark.parametrize("host", ["gf16", "cylinder"])
+def test_one_added_vertex_closes_five_triangles_and_only_twins_close_five(host):
+    # a vertex added to a triangle-free K_16 closes at least 5 triangles, and exactly 5
+    # only as a twin: host vertex v's spokes with any color x on the edge to v
+    h = construct_gf16() if host == "gf16" else solve_template(cylinder_template())[0]
+    rho = list(range(16))
+    random.Random(17).shuffle(rho)
+    pi = {Color.BLUE: Color.RED, Color.RED: Color.YELLOW, Color.YELLOW: Color.BLUE}
+    image = permute_colors(permute_vertices(h, rho), pi)
+    inv = sorted(range(16), key=rho.__getitem__)
+    fives = []
+    for c in (h, image):
+        assert _spoke_vectors(c, 5) == []
+        listed = _spoke_vectors(c, 6)
+        twins = {e[:v] + bytes([x]) + e[v:]
+                 for v in range(16) for e in [extension_of_vertex(c, v)] for x in range(3)}
+        assert len(listed) == 48 and set(listed) == twins
+        assert all(sorted(census(extend_with(c, s)).mono) == [0, 0, 5] for s in listed)
+        fives.append(listed)
+    # the relabelling maps the host's 48 onto its image's: s'[a] = pi[s[inv[a]]]
+    assert {bytes(pi[s[inv[a]]] for a in range(16)) for s in fives[0]} == set(fives[1])
 
 
 def test_extend_with_round_trip():

@@ -244,8 +244,10 @@ def _normal_images(c):
             yield permute_vertices(c, rho)
 
 
-def test_cylinder_first_fifty_solutions_pinned():
-    # every completion, enumerated once: the first fifty, all 72, and the class of each
+def test_cylinder_first_fifty_solutions_pinned(monkeypatch):
+    # every completion, enumerated once: the first fifty, all 72, and the class of each.
+    # All 72 take exactly 43137 DFS nodes, so the walk also fits that budget.
+    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 43137)
     sols = solve_template(cylinder_template(), limit=10**6)
     assert len(sols) == 72
     digest = hashlib.sha256(b"".join(s.colors for s in sols[:50])).hexdigest()
@@ -331,9 +333,8 @@ def test_solve_template_refuses_past_its_node_budget(monkeypatch):
     monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 2749)
     with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 2749$"):
         solve_template(t, limit=4)
-    # the full enumeration: all 72 completions take exactly 43137 nodes
-    monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 43137)
-    assert len(solve_template(t, limit=10**6)) == 72
+    # the full enumeration: all 72 completions take exactly 43137 nodes, the budget
+    # test_cylinder_first_fifty_solutions_pinned walks them under, and no fewer
     monkeypatch.setattr("ramsey333.templates.SOLVE_BUDGET", 43136)
     with pytest.raises(BudgetError, match="^DFS nodes exceed the budget of 43136$"):
         solve_template(t, limit=10**6)

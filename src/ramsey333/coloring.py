@@ -200,26 +200,33 @@ def _spoke_dfs(rows, v: int, colors, count: int, bound: int, leaf) -> None:
     Depth-first over u in index order, colors in the given order, from the `count` already
     closed.  Spoke u colored x closes (row[u] & row[v]).bit_count() triangles, row = rows[x],
     and sits in the mutable bit rows while its subtree runs; a branch is cut once its count
-    reaches the bound.  Each vector goes to leaf(spokes, count) with every spoke in rows, both
-    valid only during the call, which returns the bound from then on.  Rows end as given.
+    reaches the bound.  A spoke in rows[x][v] at the call is pinned: skipped, kept as x, never
+    counted.  While the bound is 1, a spoke giving either end a sixth edge of one color is cut:
+    by R(3,3) = 6, no triangle-free coloring completes it.  Each vector goes to
+    leaf(spokes, count) with every spoke in rows, both valid only during the call, which
+    returns the bound from then on.  Rows end as given.
     """
-    spokes = bytearray(v)
+    spokes, bit = bytearray(v), 1 << v
+    if held := rows[0][v] | rows[1][v] | rows[2][v]:  # pinned spokes; edges to later vertices too
+        spokes[:] = ((rows[1][v] >> u & 1) | (rows[2][v] >> u & 1) << 1 for u in range(v))
 
     def dfs(u: int, count: int) -> None:
         nonlocal bound
+        while held and held >> u & 1:  # stops at v: no vertex is its own neighbor
+            u += 1
         if u == v:
             bound = leaf(spokes, count)
             return
         for x in colors:
             row = rows[x]
             closed = count + (row[u] & row[v]).bit_count()
-            if closed < bound:
+            if closed < bound and (bound > 1 or row[u].bit_count() < 5 > row[v].bit_count()):
                 spokes[u] = x
                 # inline, not toggle(): a call per node ran 2x slower (2-vCPU Xeon, Python 3.11)
-                row[u] ^= 1 << v
+                row[u] ^= bit
                 row[v] ^= 1 << u
                 dfs(u + 1, closed)
-                row[u] ^= 1 << v
+                row[u] ^= bit
                 row[v] ^= 1 << u
 
     dfs(0, count)

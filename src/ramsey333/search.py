@@ -209,7 +209,7 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
     """Exact minimum total monochromatic count over all k-colorings of K_n, and its first witness.
 
     Vertices join in turn by coloring._spoke_dfs, colors B < R < Y, bounded by the best
-    count; vertex 1's spoke is pinned blue, as permuting colors keeps every count.
+    count; edge (0, 1) is pinned blue in the rows, as permuting colors keeps every count.
     Refuses k^C(n,2) raw states over STATE_BUDGET (2^25: k=2 to n=7, k=3 to n=6).
     """
     _check_size(n, k)
@@ -220,6 +220,8 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
         raise BudgetError(f"{k}^C(n,2) colorings exceed the budget of {STATE_BUDGET}")
 
     rows = [[0] * n for _ in range(3)]
+    if n > 1:
+        toggle(rows, 0, 1, 0)  # blue, as cols[0] already is
     cols = bytearray(m)  # the colors of the edges in rows, by ordinal
     base = [_row_start(i, n) for i in range(n)]
     best_count, best = comb(n, 3) + 1, b""  # a count above any possible, no witness yet
@@ -229,8 +231,8 @@ def exhaustive_min(n: int, k: int) -> tuple[int, EdgeColoring]:
         v = len(spokes)  # the joining vertex: spokes[u] colors edge (u, v)
         for u, x in enumerate(spokes):
             cols[base[u] + v] = x
-        if v + 1 < n:  # vertex 1's spoke is pinned blue
-            _spoke_dfs(rows, v + 1, range(k if v else 1), count, best_count, leaf)
+        if v + 1 < n:
+            _spoke_dfs(rows, v + 1, range(k), count, best_count, leaf)
         else:
             best_count, best = count, bytes(cols)
         return best_count

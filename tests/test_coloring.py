@@ -4,7 +4,7 @@ import random
 import re
 import tracemalloc
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -265,27 +265,77 @@ def test_minimize_leaves_a_cached_start_as_built():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spoke_kernel_keeps_spokes_in_the_rows_and_carries_the_count(seed):
     # vertex 6 joins a K_6 already 7 triangles in: each leaf sees every spoke in the
-    # rows and the count closed so far, and the rows end as given
+    # rows and the count closed so far, and the rows end as given.  In the second case
+    # the rows already hold spokes 1 and 4, both of edge (1, 4)'s color: they are pinned,
+    # so their triangle (1, 4, 6) is the caller's, and the kernel neither counts nor flips them
     host = random_coloring(6, 3, seed)
-    before, start = census(host).total_mono, 7
-    rows = [[*r, 0] for r in bit_rows(host)]
+    x14 = host.color(1, 4)
+    for pins, pinned_triangles in (({}, 0), ({1: x14, 4: x14}, 1)):
+        rows = [[*r, 0] for r in bit_rows(host)]
+        for u, x in pins.items():
+            toggle(rows, u, 6, x)
+        given = [r.copy() for r in rows]
+        before, start = census(host).total_mono + pinned_triangles, 7
+        listed = []
+
+        def leaf(spokes, count):
+            masks = [sum(1 << u for u, x in enumerate(spokes) if x == y) for y in range(3)]
+            assert [r[6] for r in rows] == masks
+            extended = extend_with(host, bytes(spokes))
+            assert rows == _rows(extended)
+            assert count == start + census(extended).total_mono - before
+            listed.append(bytes(spokes))
+            return start + 3
+
+        _spoke_dfs(rows, 6, (0, 1, 2), start, start + 3, leaf)
+        brute = [bytes(s) for s in product(range(3), repeat=6)
+                 if all(s[u] == x for u, x in pins.items())
+                 and census(extend_with(host, bytes(s))).total_mono - before < 3]
+        assert listed and listed == brute
+        assert rows == given
+
+
+def test_spoke_kernel_caps_color_degrees_at_five_only_at_bound_one():
+    # host K_6: vertex 0 is blue to 1-4 and red to 5; 1-5 are a blue pentagon and a
+    # yellow pentagram.  The rows also hold (0, 7) blue and (6, 7) red, edges to a later
+    # vertex, so vertex 0 already has five blue edges and vertex 6 one red edge
+    pentagon = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
+    edges = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (0, 4): 0, (0, 5): 1, (0, 7): 0, (6, 7): 1}
+    edges |= {e: 0 if e in pentagon else 2 for e in combinations(range(1, 6), 2)}
+    rows = [[0] * 8 for _ in range(3)]
+    for (i, j), x in edges.items():
+        toggle(rows, i, j, x)
     given = [r.copy() for r in rows]
-    listed = []
 
-    def leaf(spokes, count):
-        masks = [sum(1 << u for u, x in enumerate(spokes) if x == y) for y in range(3)]
-        assert [r[6] for r in rows] == masks
-        extended = extend_with(host, bytes(spokes))
-        assert rows == _rows(extended)
-        assert count == start + census(extended).total_mono - before
-        listed.append(bytes(spokes))
-        return start + 3
+    def mono(colored):
+        return sum(colored.get((a, b)) == colored.get((a, c)) == colored.get((b, c)) is not None
+                   for a, b, c in combinations(range(8), 3))
 
-    _spoke_dfs(rows, 6, (0, 1, 2), start, start + 3, leaf)
-    brute = [bytes(s) for s in product(range(3), repeat=6)
-             if census(extend_with(host, bytes(s))).total_mono - before < 3]
-    assert listed and listed == brute
-    assert rows == given
+    def brute(bound, cap=inf):
+        out = []
+        for s in product(range(3), repeat=6):
+            colored = edges | {(u, 6): x for u, x in enumerate(s)}
+            degrees = [sum(x == y and w in e for e, x in colored.items())
+                       for w in range(8) for y in range(3)]
+            if mono(colored) - mono(edges) < bound and max(degrees) <= cap:
+                out.append(bytes(s))
+        return out
+
+    def listing(bound):
+        out = []
+        _spoke_dfs(rows, 6, (0, 1, 2), 0, bound, lambda s, count: out.append(bytes(s)) or bound)
+        assert rows == given
+        return out
+
+    capped = listing(1)
+    assert capped and capped == brute(1, 5)
+    # the cap alone cuts these: spoke 0 blue gives vertex 0 a sixth blue edge, and five red
+    # spokes give vertex 6 a sixth red edge, yet neither closes a triangle
+    loose = brute(1, 6)
+    assert any(s[0] == 0 for s in loose) and b"\x02\x01\x01\x01\x01\x01" in loose
+    assert not any(s[0] == 0 for s in capped)
+    uncapped = listing(2)
+    assert uncapped == brute(2) != brute(2, 5)
 
 
 def test_ordinal_walks_keep_no_pair_tables():
